@@ -23,6 +23,7 @@ import numpy as np
 
 from .env import FogEnvironment, SimClock, normalize_state
 from .model import (
+    DeploymentOutcome,
     PricingModel,
     UtilityWeights,
     deployment_cost,
@@ -237,6 +238,74 @@ class EpisodeResult:
     records: tuple[DeploymentRecord, ...]
 
 
+def score_deployment(
+    outcome: DeploymentOutcome,
+    n_modules: int,
+    pricing: PricingModel,
+    weights: UtilityWeights,
+) -> DeploymentRecord:
+    """Price one deployment and weigh its utility under one (pricing, weights) cell."""
+    cost = deployment_cost(
+        outcome.fog_modules, n_modules, pricing, outcome.usage, outcome.duration_s / 3600.0
+    )
+    return DeploymentRecord(
+        outcome=outcome, cost=cost, utility=deployment_utility(weights, outcome, cost)
+    )
+
+
+def _episode_result(records) -> EpisodeResult:
+    records = tuple(records)
+    return EpisodeResult(
+        utility=strategy_utility(r.utility for r in records), records=records,
+    )
+
+
+def score_episode(
+    outcomes,
+    n_modules: int,
+    pricing: PricingModel,
+    weights: UtilityWeights,
+) -> EpisodeResult:
+    """Score an already simulated episode under one (pricing, weights) cell."""
+    return _episode_result(score_deployment(o, n_modules, pricing, weights) for o in outcomes)
+
+
+def simulate_episode(
+    env: FogEnvironment,
+    strategy,
+    rng: random.Random,
+    deployments: int = DEPLOYMENTS_PER_EPISODE,
+    clock: SimClock | None = None,
+    after_deployment=None,
+) -> list[DeploymentOutcome]:
+    """The episode loop: a fixed number of deployments on a single environment.
+
+    Each step observes the node, lets the strategy pick a plan, and deploys
+    it.  ``after_deployment(state, outcome, next_state, terminal)``, when
+    given, runs after every deployment and returns the state the next
+    decision sees; without it that is the freshly observed state.  Nothing
+    here reads prices or weights, so a strategy that does not learn yields
+    the same outcomes under every (pricing, weights) cell.
+    """
+    if deployments < 1:
+        raise ValueError("deployments must be >= 1")
+    clock = clock or SimClock()
+    state = env.observe_normalized(clock)
+    outcomes = []
+    for j in range(1, deployments + 1):
+        t0 = time.perf_counter()
+        k = strategy.select_k(state, rng)
+        decision_ms = (time.perf_counter() - t0) * 1000.0
+        outcome = replace(env.execute(k, clock), decision_latency_ms=decision_ms)
+        outcomes.append(outcome)
+        next_state = env.observe_normalized(clock)
+        if after_deployment is None:
+            state = next_state
+        else:
+            state = after_deployment(state, outcome, next_state, j == deployments)
+    return outcomes
+
+
 def run_episode(
     env: FogEnvironment,
     strategy,
@@ -246,48 +315,35 @@ def run_episode(
     deployments: int = DEPLOYMENTS_PER_EPISODE,
     clock: SimClock | None = None,
 ) -> EpisodeResult:
-    """One episode: a fixed number of deployments on a single environment.
+    """One scored episode: simulate, and score each deployment as it happens.
 
     Static strategies never touch any learning state; the learning strategy
-    additionally stores each transition and replays after every deployment.
+    additionally stores each transition, with the deployment's utility as
+    its reward, and replays after every deployment.
     """
-    if deployments < 1:
-        raise ValueError("deployments must be >= 1")
-    clock = clock or SimClock()
-    profile = env.profile
-    n = profile.n_modules
-    state = env.observe_normalized(clock)
+    n = env.profile.n_modules
     records = []
-    for j in range(1, deployments + 1):
-        t0 = time.perf_counter()
-        k = strategy.select_k(state, rng)
-        decision_ms = (time.perf_counter() - t0) * 1000.0
-        outcome = env.execute(k, clock)
-        outcome = replace(outcome, decision_latency_ms=decision_ms)
-        cost = deployment_cost(k, n, pricing, outcome.usage, outcome.duration_s / 3600.0)
-        utility = deployment_utility(weights, outcome, cost)
-        records.append(DeploymentRecord(outcome=outcome, cost=cost, utility=utility))
 
-        next_state = env.observe_normalized(clock)
-        if strategy.learns:
-            carried = next_state if strategy.config.carry_next_state else state
-            strategy.observe_transition(
-                Transition(
-                    state=state,
-                    action=k,
-                    reward=utility,
-                    next_state=carried,
-                    terminal=(j == deployments),
-                ),
-                rng,
-            )
-            state = carried
-        else:
-            state = next_state
-    return EpisodeResult(
-        utility=strategy_utility(r.utility for r in records),
-        records=tuple(records),
-    )
+    def score_and_learn(state, outcome, next_state, terminal):
+        record = score_deployment(outcome, n, pricing, weights)
+        records.append(record)
+        if not strategy.learns:
+            return next_state
+        carried = next_state if strategy.config.carry_next_state else state
+        strategy.observe_transition(
+            Transition(
+                state=state,
+                action=outcome.fog_modules,
+                reward=record.utility,
+                next_state=carried,
+                terminal=terminal,
+            ),
+            rng,
+        )
+        return carried
+
+    simulate_episode(env, strategy, rng, deployments, clock, after_deployment=score_and_learn)
+    return _episode_result(records)
 
 
 def train(

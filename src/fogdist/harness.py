@@ -3,9 +3,14 @@
 A run is driven by a JSON config (all keys optional, unknown keys rejected)
 and a master seed.  Evaluation builds one environment per experiment index,
 seeded from the master seed and the index alone, so every approach faces
-bit-identical stress trajectories.  All simulated outputs are reproducible
-byte-for-byte for a given config hash and seed; only the decision-latency
-command measures real wall-clock time and is exempt from that guarantee.
+bit-identical stress trajectories.  It simulates each strategy x experiment
+once and then scores those outcomes under every (pricing, weights) cell
+asked for: `evaluate` asks for one cell, `sweep` for its whole grid.  That
+is sound because a strategy that does not learn never sees prices or
+weights, so only non-learning strategies are accepted.  All simulated
+outputs are reproducible byte-for-byte for a given config hash and seed;
+only the decision-latency command measures real wall-clock time and is
+exempt from that guarantee.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +34,14 @@ from .agent import (
     GreedyNetworkStrategy,
     StaticStrategy,
     load_checkpoint,
-    run_episode,
     save_checkpoint,
+    score_episode,
+    simulate_episode,
     train,
 )
 from .env import STATE_FACTORS, FogEnvironment, request_latency_breakdown
 from .model import FOG_PRICE_RATIO_GRID, PricingModel, UtilityWeights
-from .profiles import ApplicationProfile, resolve_profile
+from .profiles import ApplicationProfile, _reject_unknown, resolve_profile
 from .seeding import derive_seed
 
 RUN_FORMAT_VERSION = 1
@@ -110,12 +116,6 @@ class ExperimentConfig:
 def config_hash(cfg: ExperimentConfig) -> str:
     canonical = json.dumps(cfg.to_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
-def _reject_unknown(given: dict, allowed: set[str], where: str) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
 def _section(data: dict, key: str) -> dict:
@@ -304,21 +304,34 @@ def build_agent(cfg: ExperimentConfig, profile: ApplicationProfile) -> DQNAgent:
 def evaluate_strategies(
     profile: ApplicationProfile,
     strategies: dict[str, object],
-    pricing: PricingModel,
-    weights: UtilityWeights,
+    cells,
     experiments: int,
     master_seed: int,
     deployments: int = DEPLOYMENTS_PER_EPISODE,
     stressed: bool = True,
-) -> dict[str, list[EpisodeResult]]:
-    """Run every strategy through the same sequence of seeded experiments.
+) -> list[dict[str, list[EpisodeResult]]]:
+    """Run every strategy through the same seeded experiments; score each cell.
 
-    Environment seeds depend only on the experiment index, never on the
-    strategy, so all approaches face identical stress trajectories.
+    ``cells`` is a sequence of (pricing, weights) pairs; the result holds
+    one {strategy name: per-experiment results} dict per cell, in order.
+    Environment seeds depend only on the experiment index and action seeds
+    only on the strategy and index, never on the cell, so each strategy x
+    experiment is simulated once and its outcomes are scored under every
+    cell.  A learning strategy picks actions from its rewards, so its
+    outcomes would depend on the cell: it is rejected.
     """
-    results: dict[str, list[EpisodeResult]] = {}
+    cells = list(cells)
+    if not cells:
+        raise ValueError("evaluate_strategies needs at least one (pricing, weights) cell")
+    learners = sorted(name for name, strategy in strategies.items() if strategy.learns)
+    if learners:
+        raise ValueError(
+            f"evaluate_strategies scores outcomes shared across cells, so it cannot run "
+            f"learning strategies {learners}; evaluate their greedy policy instead"
+        )
+    results: list[dict[str, list[EpisodeResult]]] = [{} for _ in cells]
     for name, strategy in strategies.items():
-        per_experiment = []
+        trajectories = []
         for index in range(experiments):
             env = FogEnvironment(
                 profile,
@@ -326,10 +339,12 @@ def evaluate_strategies(
                 stressed=stressed,
             )
             rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
-            per_experiment.append(
-                run_episode(env, strategy, pricing, weights, rng, deployments=deployments)
-            )
-        results[name] = per_experiment
+            trajectories.append(simulate_episode(env, strategy, rng, deployments=deployments))
+        for per_cell, (pricing, weights) in zip(results, cells):
+            per_cell[name] = [
+                score_episode(outcomes, profile.n_modules, pricing, weights)
+                for outcomes in trajectories
+            ]
     return results
 
 
@@ -340,6 +355,25 @@ def static_strategies(profile: ApplicationProfile) -> dict[str, StaticStrategy]:
 def mean_deployment_cost(results: list[EpisodeResult]) -> float:
     costs = [rec.cost for episode in results for rec in episode.records]
     return float(np.mean(costs))
+
+
+def _load_policy(checkpoint: str | Path, profile: ApplicationProfile) -> GreedyNetworkStrategy:
+    """The greedy policy of a checkpoint, which must have been trained on `profile`."""
+    agent, meta = load_checkpoint(checkpoint)
+    trained_on = meta["profile_name"]
+    if trained_on != profile.name or agent.n_actions != profile.n_modules + 1:
+        raise ValueError(
+            f"checkpoint {checkpoint} was trained on profile {trained_on!r} with "
+            f"{agent.n_actions} plans, but the config's profile {profile.name!r} has "
+            f"{profile.n_modules + 1} plans"
+        )
+    return agent.greedy_strategy()
+
+
+def _reject_repeats(values: list, what: str) -> None:
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{what} {repeated} given more than once")
 
 
 # -- commands ----------------------------------------------------------------
@@ -383,20 +417,14 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Path) -> RunArtifacts:
     """Compare the trained policy with every static plan on shared experiments."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     profile = cfg.resolved_profile()
     cfg_hash = config_hash(cfg)
-    agent, meta = load_checkpoint(checkpoint)
-    if agent.n_actions != profile.n_modules + 1:
-        raise ValueError(
-            f"checkpoint was trained for {agent.n_actions - 1} modules but profile "
-            f"{profile.name!r} has {profile.n_modules}"
-        )
     strategies: dict[str, object] = dict(static_strategies(profile))
-    strategies["context-aware"] = agent.greedy_strategy()
-    results = evaluate_strategies(
-        profile, strategies, cfg.pricing, cfg.weights,
+    strategies["context-aware"] = _load_policy(checkpoint, profile)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    [results] = evaluate_strategies(
+        profile, strategies, [(cfg.pricing, cfg.weights)],
         experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
         deployments=cfg.deployments_per_episode,
     )
@@ -441,55 +469,47 @@ def cmd_sweep(
     Static plans are always included; the trained policy joins the grid when
     a checkpoint is given.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    profile = cfg.resolved_profile()
-    cfg_hash = config_hash(cfg)
     ratios = list(ratio_grid)
+    weight_grid = [cfg.weights] if weight_grid is None else list(weight_grid)
     if not ratios:
         raise ValueError("ratio_grid must not be empty")
-    pairs = [(w.qos_weight, w.cost_weight) for w in (
-        [cfg.weights] if weight_grid is None else list(weight_grid)
-    )]
+    if not weight_grid:
+        raise ValueError("weight_grid must not be empty")
+    _reject_repeats(ratios, "fog price ratio(s)")
+    _reject_repeats([(w.qos_weight, w.cost_weight) for w in weight_grid], "weight pair(s)")
+    profile = cfg.resolved_profile()
+    cfg_hash = config_hash(cfg)
     strategies: dict[str, object] = dict(static_strategies(profile))
     if checkpoint is not None:
-        agent, _ = load_checkpoint(checkpoint)
-        if agent.n_actions != profile.n_modules + 1:
-            raise ValueError("checkpoint does not match the profile's module count")
-        strategies["context-aware"] = agent.greedy_strategy()
+        strategies["context-aware"] = _load_policy(checkpoint, profile)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
+    cells = [
+        (replace(cfg.pricing, fog_price_ratio=ratio), weights)
+        for ratio in ratios for weights in weight_grid
+    ]
+    per_cell = evaluate_strategies(
+        profile, strategies, cells,
+        experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
+        deployments=cfg.deployments_per_episode,
+    )
     cell_rows = []
-    cost_rows = []
-    cells: dict[tuple, dict[str, BoxplotStats]] = {}
-    mean_costs: dict[tuple, float] = {}
-    for ratio in ratios:
-        pricing = PricingModel(
-            vm_hourly=cfg.pricing.vm_hourly, cpu_hourly=cfg.pricing.cpu_hourly,
-            mem_hourly=cfg.pricing.mem_hourly, storage_hourly=cfg.pricing.storage_hourly,
-            fog_price_ratio=ratio,
-        )
-        for qos_w, cost_w in pairs:
-            weights = UtilityWeights(qos_weight=qos_w, cost_weight=cost_w)
-            results = evaluate_strategies(
-                profile, strategies, pricing, weights,
-                experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
-                deployments=cfg.deployments_per_episode,
-            )
-            cell: dict[str, BoxplotStats] = {}
-            for name, episodes in results.items():
-                stats = BoxplotStats.from_samples([ep.utility for ep in episodes])
-                cell[name] = stats
-                cell_rows.append([
-                    ratio, qos_w, cost_w, name, stats.count,
-                    stats.minimum, stats.q1, stats.median, stats.mean, stats.q3, stats.maximum,
-                ])
-            cells[(ratio, qos_w, cost_w)] = cell
-            # Deployment cost does not depend on the weights; summarise once.
-            if (qos_w, cost_w) == pairs[0]:
-                for name, episodes in results.items():
-                    cost = mean_deployment_cost(episodes)
-                    mean_costs[(ratio, name)] = cost
-                    cost_rows.append([ratio, name, cost])
+    for (pricing, weights), results in zip(cells, per_cell):
+        for name, episodes in results.items():
+            stats = BoxplotStats.from_samples([ep.utility for ep in episodes])
+            cell_rows.append([
+                pricing.fog_price_ratio, weights.qos_weight, weights.cost_weight, name,
+                stats.count, *stats.as_row(),
+            ])
+    # Deployment cost does not depend on the weights, so the first cell at
+    # each ratio gives that ratio's costs.
+    mean_costs = {
+        (ratio, name): mean_deployment_cost(episodes)
+        for ratio, results in zip(ratios, per_cell[::len(weight_grid)])
+        for name, episodes in results.items()
+    }
+    cost_rows = [[ratio, name, cost] for (ratio, name), cost in mean_costs.items()]
 
     files: dict[str, Path] = {}
     cells_path = out_dir / "sweep_cells.csv"
@@ -608,12 +628,12 @@ def measure_decision_latency(network, n: int = 10_000, seed: int = 0):
 def cmd_latency(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Path,
                 n: int = 10_000) -> RunArtifacts:
     """Measure greedy decision overhead and emit the six-column summary."""
+    cfg_hash = config_hash(cfg)
+    policy = _load_policy(checkpoint, cfg.resolved_profile())
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg_hash = config_hash(cfg)
-    agent, _ = load_checkpoint(checkpoint)
     stats, _samples = measure_decision_latency(
-        agent.network, n=n, seed=cfg.master_seed,
+        policy.network, n=n, seed=cfg.master_seed,
     )
     path = out_dir / "latency.csv"
     _write_csv(

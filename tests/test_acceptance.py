@@ -177,8 +177,8 @@ def test_06_trained_policy_matches_best_static(fd_default_agent):
     profile = fd_profile()
     strategies = dict(static_strategies(profile))
     strategies["context-aware"] = fd_default_agent.greedy_strategy()
-    results = evaluate_strategies(
-        profile, strategies, cfg.pricing, cfg.weights,
+    [results] = evaluate_strategies(
+        profile, strategies, [(cfg.pricing, cfg.weights)],
         experiments=100, master_seed=MASTER_SEED,
     )
     medians = {name: float(np.median([e.utility for e in eps]))
@@ -196,8 +196,8 @@ def test_06_trained_policy_matches_best_static(fd_default_agent):
 def test_07_price_parity_sends_everything_to_the_cloud(heavy_cost_only_agent):
     agent, cfg = heavy_cost_only_agent
     profile = heavy_profile()
-    results = evaluate_strategies(
-        profile, {"context-aware": agent.greedy_strategy()}, cfg.pricing, cfg.weights,
+    [results] = evaluate_strategies(
+        profile, {"context-aware": agent.greedy_strategy()}, [(cfg.pricing, cfg.weights)],
         experiments=100, master_seed=MASTER_SEED,
     )
     picks = [rec.outcome.fog_modules
@@ -212,14 +212,16 @@ def test_08_fog_cost_rises_with_the_price_ratio():
     profile = fd_profile()
     cfg = config_from_dict({"master_seed": MASTER_SEED})
     fog_only = f"s{profile.n_modules}"
-    means = {}
-    for ratio in FOG_PRICE_RATIO_GRID:
-        pricing = dataclasses.replace(cfg.pricing, fog_price_ratio=ratio)
-        results = evaluate_strategies(
-            profile, static_strategies(profile), pricing, cfg.weights,
-            experiments=20, master_seed=MASTER_SEED,
-        )
-        means[ratio] = {name: mean_deployment_cost(eps) for name, eps in results.items()}
+    cells = [(dataclasses.replace(cfg.pricing, fog_price_ratio=ratio), cfg.weights)
+             for ratio in FOG_PRICE_RATIO_GRID]
+    per_cell = evaluate_strategies(
+        profile, static_strategies(profile), cells,
+        experiments=20, master_seed=MASTER_SEED,
+    )
+    means = {
+        ratio: {name: mean_deployment_cost(eps) for name, eps in results.items()}
+        for ratio, results in zip(FOG_PRICE_RATIO_GRID, per_cell)
+    }
     fog_costs = [means[r][fog_only] for r in FOG_PRICE_RATIO_GRID]
     increasing = all(a < b for a, b in zip(fog_costs, fog_costs[1:]))
     cheapest_ratio = FOG_PRICE_RATIO_GRID[0]

@@ -1,16 +1,21 @@
 """Harness tests: config parsing, summaries, command outputs, CLI exit codes."""
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fogdist.agent import StaticStrategy
+from fogdist.agent import DQNAgent, GreedyNetworkStrategy, StaticStrategy, run_episode
 from fogdist.cli import EXIT_CALIBRATION, EXIT_OK, EXIT_VALIDATION, main
+from fogdist.env import FogEnvironment
 from fogdist.harness import (
     BoxplotStats,
     ExperimentConfig,
     cmd_calibrate,
     cmd_evaluate,
+    cmd_latency,
     cmd_sweep,
     cmd_train,
     config_from_dict,
@@ -23,6 +28,7 @@ from fogdist.harness import (
 from fogdist.model import PricingModel, UtilityWeights
 from fogdist.nn import NetworkArchitecture, QNetwork
 from fogdist.profiles import fd_profile, profile_to_dict
+from fogdist.seeding import derive_seed
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -137,15 +143,77 @@ def test_boxplot_validation():
 def test_same_plan_sees_identical_experiments_regardless_of_mix():
     profile = fd_profile()
     cfg = small_config()
-    alone = evaluate_strategies(
-        profile, {"s0": StaticStrategy(0)}, cfg.pricing, cfg.weights,
+    [alone] = evaluate_strategies(
+        profile, {"s0": StaticStrategy(0)}, [(cfg.pricing, cfg.weights)],
         experiments=3, master_seed=5,
     )
-    mixed = evaluate_strategies(
+    [mixed] = evaluate_strategies(
         profile, {"s2": StaticStrategy(2), "s0": StaticStrategy(0)},
-        cfg.pricing, cfg.weights, experiments=3, master_seed=5,
+        [(cfg.pricing, cfg.weights)], experiments=3, master_seed=5,
     )
     assert [e.utility for e in alone["s0"]] == [e.utility for e in mixed["s0"]]
+
+
+def _non_learning_strategies(profile):
+    net = QNetwork.initialize(
+        NetworkArchitecture(input_dim=19, output_dim=profile.n_modules + 1), seed=0
+    )
+    return {**static_strategies(profile), "context-aware": GreedyNetworkStrategy(net)}
+
+
+def _simulated(records):
+    """The outcomes of scored deployments, without the wall-clock decision latency."""
+    return [dataclasses.replace(r.outcome, decision_latency_ms=0.0) for r in records]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    ratio=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+    qos_weight=st.floats(min_value=-5.0, max_value=0.0),
+    cost_weight=st.floats(min_value=-5.0, max_value=0.0),
+    master_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_outcomes_do_not_depend_on_the_cell_and_shared_scoring_is_exact(
+    ratio, qos_weight, cost_weight, master_seed,
+):
+    assume(qos_weight != 0 or cost_weight != 0)
+    profile = fd_profile()
+    cell = (PricingModel(fog_price_ratio=ratio), UtilityWeights(qos_weight, cost_weight))
+    default_cell = (PricingModel(), UtilityWeights())
+    strategies = _non_learning_strategies(profile)
+    experiments, deployments = 2, 6
+    shared = evaluate_strategies(
+        profile, strategies, [default_cell, cell], experiments=experiments,
+        master_seed=master_seed, deployments=deployments,
+    )
+
+    def separate_run(name, index, pricing, weights):
+        env = FogEnvironment(profile, seed=derive_seed(master_seed, "eval-experiment", index))
+        rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
+        return run_episode(env, strategies[name], pricing, weights, rng, deployments=deployments)
+
+    for name in strategies:
+        for index in range(experiments):
+            alone = separate_run(name, index, *cell)
+            at_default = separate_run(name, index, *default_cell)
+            scored = shared[1][name][index]
+            assert _simulated(alone.records) == _simulated(at_default.records)
+            assert _simulated(scored.records) == _simulated(alone.records)
+            assert [(r.cost, r.utility) for r in scored.records] == \
+                [(r.cost, r.utility) for r in alone.records]
+            assert scored.utility == alone.utility
+
+
+def test_evaluate_strategies_rejects_learners_and_an_empty_grid():
+    profile = fd_profile()
+    cells = [(PricingModel(), UtilityWeights())]
+    learner = DQNAgent(n_actions=profile.n_modules + 1)
+    with pytest.raises(ValueError, match=r"learning strategies \['context-aware'\]"):
+        evaluate_strategies(profile, {"s0": StaticStrategy(0), "context-aware": learner},
+                            cells, experiments=1, master_seed=0)
+    with pytest.raises(ValueError, match="at least one"):
+        evaluate_strategies(profile, static_strategies(profile), [], experiments=1,
+                            master_seed=0)
 
 
 def test_static_strategies_cover_every_plan():
@@ -223,6 +291,56 @@ def test_cmd_sweep_grid_and_cost_scaling(tmp_path):
     costs = (tmp_path / "costs_vs_lambda.csv").read_text().splitlines()
     assert costs[1] == "fog_price_ratio,approach,mean_deployment_cost"
     assert len(costs) == 2 + 12
+
+
+def test_sweep_cells_match_one_cell_evaluations(tmp_path):
+    cfg = small_config(eval_experiments=3)
+    ratios = (0.001, 0.1, 1.0)
+    weight_grid = [UtilityWeights(-1.0, -1.0), UtilityWeights(0.0, -1.0)]
+    cmd_sweep(cfg, tmp_path, ratio_grid=ratios, weight_grid=weight_grid)
+    profile = cfg.resolved_profile()
+    lines = [
+        f"# config_hash={config_hash(cfg)} master_seed={cfg.master_seed}",
+        "fog_price_ratio,qos_weight,cost_weight,approach,count,min,q1,median,mean,q3,max",
+    ]
+    for ratio in ratios:
+        for weights in weight_grid:
+            pricing = dataclasses.replace(cfg.pricing, fog_price_ratio=ratio)
+            [results] = evaluate_strategies(
+                profile, static_strategies(profile), [(pricing, weights)],
+                experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
+            )
+            for name, episodes in results.items():
+                stats = BoxplotStats.from_samples([ep.utility for ep in episodes])
+                row = [ratio, weights.qos_weight, weights.cost_weight, name, stats.count,
+                       *stats.as_row()]
+                lines.append(",".join(str(v) for v in row))
+    expected = "\n".join(lines) + "\n"
+    assert (tmp_path / "sweep_cells.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("lookalike", [False, True], ids=["other-count", "same-count"])
+def test_checkpoint_from_another_profile_is_rejected_alike(tmp_path, lookalike):
+    cfg = small_config(eval_experiments=1)
+    cmd_train(cfg, tmp_path / "train")
+    ckpt = tmp_path / "train" / "checkpoint.json"
+    if lookalike:
+        path = tmp_path / "fd-lookalike.json"
+        path.write_text(json.dumps({**profile_to_dict(fd_profile()), "name": "fd-lookalike"}))
+        other = dataclasses.replace(cfg, profile=str(path))
+        assert other.resolved_profile().n_modules == fd_profile().n_modules
+    else:
+        other = dataclasses.replace(cfg, profile="ipokemon")
+    with pytest.raises(ValueError, match="trained on profile 'fd'") as from_evaluate:
+        cmd_evaluate(other, ckpt, tmp_path / "eval")
+    with pytest.raises(ValueError) as from_sweep:
+        cmd_sweep(other, tmp_path / "sweep", ratio_grid=(0.01,), checkpoint=ckpt)
+    with pytest.raises(ValueError) as from_latency:
+        cmd_latency(other, ckpt, tmp_path / "latency", n=10)
+    assert str(from_sweep.value) == str(from_latency.value) == str(from_evaluate.value)
+    assert repr(other.resolved_profile().name) in str(from_evaluate.value)
+    # Rejected before anything is written.
+    assert not any((tmp_path / d).exists() for d in ("eval", "sweep", "latency"))
 
 
 def test_cmd_sweep_includes_policy_with_checkpoint(tmp_path):
@@ -304,6 +422,20 @@ def test_cli_sweep(tmp_path, cli_config, capsys):
     assert code == EXIT_OK
     assert "mean deployment cost" in capsys.readouterr().out
     assert (out_dir / "sweep_cells.csv").exists()
+
+
+@pytest.mark.parametrize("grid, repeated", [
+    (["--ratios", "0.01,0.01", "--weights=-1:-1", "--weights=-1:0", "--weights=-1:-1"],
+     "fog price ratio(s) [0.01] given more than once"),
+    (["--ratios", "0.01,0.1", "--weights=-1:-1", "--weights=-1:0", "--weights=-1:-1"],
+     "weight pair(s) [(-1.0, -1.0)] given more than once"),
+], ids=["ratios", "weights"])
+def test_cli_sweep_rejects_repeated_grid_entries(tmp_path, cli_config, capsys, grid, repeated):
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cli_config), "--out-dir", str(out_dir), *grid])
+    assert code == EXIT_VALIDATION
+    assert repeated in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_overrides_reach_the_config(tmp_path, cli_config):
