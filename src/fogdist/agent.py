@@ -5,23 +5,22 @@ leading modules to host on the Fog, deploy, and score the result with the
 utility model.  The learner keeps a bounded replay memory and, once it
 holds more than a minibatch, runs one replay pass per deployment: every
 sampled transition contributes a single-action gradient step toward
-reward + discount * max of the target network on the successor state, the
-target network is re-synced at the end of the pass, and the exploration
+reward + discount * max of the network on the successor state, with all of
+the pass's targets computed before its first step, and the exploration
 rate decays one notch.
 """
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .env import FogEnvironment, SimClock, normalize_state
+from .env import FogEnvironment, SimClock
 from .model import (
     DeploymentOutcome,
     PricingModel,
@@ -34,7 +33,7 @@ from .nn import NetworkArchitecture, QNetwork
 from .profiles import ApplicationProfile
 from .seeding import derive_seed
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 DEPLOYMENTS_PER_EPISODE = 20
 STATE_DIM = 19
 
@@ -64,7 +63,7 @@ class ReplayMemory:
         """n distinct transitions, uniformly without replacement."""
         if n > len(self._items):
             raise ValueError(f"cannot sample {n} from {len(self._items)} transitions")
-        return rng.sample(list(self._items), n)
+        return rng.sample(self._items, n)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -116,7 +115,6 @@ class AgentConfig:
     # decision state for a whole episode and stores each transition with its
     # own state as successor.
     carry_next_state: bool = True
-    weights: UtilityWeights = field(default_factory=UtilityWeights)
 
     def __post_init__(self):
         if not 0 <= self.discount < 1:
@@ -178,7 +176,6 @@ class DQNAgent:
             output_dim=n_actions,
         )
         self.network = QNetwork.initialize(arch, seed=derive_seed(seed, "q-network"))
-        self.target_network = self.network.clone()
         self.memory = ReplayMemory(self.config.replay_capacity)
 
     def select_k(self, state_vec: np.ndarray, rng: random.Random) -> int:
@@ -190,26 +187,28 @@ class DQNAgent:
         """Bootstrap target: the reward, plus the discounted best successor value."""
         if transition.terminal:
             return transition.reward
-        successor = self.target_network.forward(transition.next_state)
+        successor = self.network.forward(transition.next_state)
         return transition.reward + self.config.discount * float(np.max(successor))
 
     def replay(self, rng: random.Random) -> float | None:
         """One replay pass; returns the mean pre-step loss, or None if skipped.
 
-        Runs only once the memory holds strictly more than a minibatch.
+        Runs only once the memory holds strictly more than a minibatch.  All
+        targets come from the network as it stands before the pass; the
+        per-sample steps then run in order.
         """
         if len(self.memory) <= self.config.batch_size:
             return None
         batch = self.memory.sample(rng, self.config.batch_size)
-        losses = []
-        for transition in batch:
-            target = self.compute_target(transition)
-            losses.append(
-                self.network.sgd_step(
-                    transition.state, transition.action, target, self.config.learning_rate
-                )
+        # One forward per sample: a single batched product rounds differently
+        # and would change the learning curves.
+        targets = [self.compute_target(transition) for transition in batch]
+        losses = [
+            self.network.sgd_step(
+                transition.state, transition.action, target, self.config.learning_rate
             )
-        self.target_network.copy_parameters_from(self.network)
+            for transition, target in zip(batch, targets)
+        ]
         return float(np.mean(losses))
 
     def observe_transition(self, transition: Transition, rng: random.Random) -> float | None:
@@ -384,36 +383,25 @@ def train(
 
 def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
                     provenance: dict | None = None) -> None:
-    """Write the agent (networks, schedule, config) to a versioned JSON file."""
+    """Write the agent (network, schedule, config) to a versioned JSON file.
+
+    Raises ValueError, writing nothing, if any value is not finite.
+    """
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": "fogdist-agent",
         "profile_name": profile_name,
         "n_actions": agent.n_actions,
-        "config": {
-            "discount": agent.config.discount,
-            "batch_size": agent.config.batch_size,
-            "learning_rate": agent.config.learning_rate,
-            "replay_capacity": agent.config.replay_capacity,
-            "hidden_layers": agent.config.hidden_layers,
-            "hidden_width": agent.config.hidden_width,
-            "carry_next_state": agent.config.carry_next_state,
-            "weights": {
-                "qos_weight": agent.config.weights.qos_weight,
-                "cost_weight": agent.config.weights.cost_weight,
-            },
-        },
-        "schedule": {
-            "start": agent.schedule.start,
-            "floor": agent.schedule.floor,
-            "decay": agent.schedule.decay,
-            "decays_done": agent.schedule.decays_done,
-        },
+        "config": asdict(agent.config),
+        "schedule": asdict(agent.schedule),
         "network": agent.network.to_dict(),
-        "target_network": agent.target_network.to_dict(),
         "provenance": provenance or {},
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: cannot write a checkpoint with non-finite values ({exc})") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
@@ -422,26 +410,23 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
     if not path.exists():
         raise ValueError(f"checkpoint file not found: {path}")
     data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("format_version") != CHECKPOINT_FORMAT_VERSION or data.get("kind") != "fogdist-agent":
-        raise ValueError(f"{path}: not a supported agent checkpoint")
-    raw_cfg = data["config"]
-    config = AgentConfig(
-        discount=raw_cfg["discount"],
-        batch_size=raw_cfg["batch_size"],
-        learning_rate=raw_cfg["learning_rate"],
-        replay_capacity=raw_cfg["replay_capacity"],
-        hidden_layers=raw_cfg["hidden_layers"],
-        hidden_width=raw_cfg["hidden_width"],
-        carry_next_state=raw_cfg["carry_next_state"],
-        weights=UtilityWeights(
-            qos_weight=raw_cfg["weights"]["qos_weight"],
-            cost_weight=raw_cfg["weights"]["cost_weight"],
-        ),
-    )
-    schedule = EpsilonSchedule(**data["schedule"])
-    agent = DQNAgent(n_actions=data["n_actions"], config=config, schedule=schedule)
-    agent.network = QNetwork.from_dict(data["network"])
-    agent.target_network = QNetwork.from_dict(data["target_network"])
+    if not isinstance(data, dict) or data.get("kind") != "fogdist-agent":
+        raise ValueError(f"{path}: not a fogdist agent checkpoint")
+    version = data.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: checkpoint format version {version!r} is not supported "
+            f"(expected {CHECKPOINT_FORMAT_VERSION}); retrain to write a current checkpoint"
+        )
+    try:
+        agent = DQNAgent(
+            n_actions=data["n_actions"],
+            config=AgentConfig(**data["config"]),
+            schedule=EpsilonSchedule(**data["schedule"]),
+        )
+        agent.network = QNetwork.from_dict(data["network"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint ({exc!r})") from None
     meta = {
         "profile_name": data.get("profile_name"),
         "provenance": data.get("provenance", {}),

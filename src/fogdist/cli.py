@@ -95,7 +95,6 @@ def _config_from_args(args) -> ExperimentConfig:
             cost_weight=args.cost_weight if args.cost_weight is not None else cfg.weights.cost_weight,
         )
         updates["weights"] = weights
-        updates["agent"] = dataclasses.replace(cfg.agent, weights=weights)
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

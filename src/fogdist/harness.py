@@ -17,10 +17,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +49,9 @@ RUN_FORMAT_VERSION = 1
 # indexed by the number of fog-hosted stages.
 FD_TRANSMISSION_CHAIN_S = (2.28, 0.77, 0.52, 0.11)
 CALIBRATION_REL_TOL = 0.02
+
+# The exploration schedule's settings, as named in the config's "agent" section.
+_SCHEDULE_KEYS = {f"epsilon_{name}": name for name in ("start", "floor", "decay")}
 
 
 @dataclass(frozen=True)
@@ -81,36 +83,11 @@ class ExperimentConfig:
         return 400 if self.profile == "ipokemon" else 600
 
     def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "pricing": {
-                "vm_hourly": self.pricing.vm_hourly,
-                "cpu_hourly": self.pricing.cpu_hourly,
-                "mem_hourly": self.pricing.mem_hourly,
-                "storage_hourly": self.pricing.storage_hourly,
-                "fog_price_ratio": self.pricing.fog_price_ratio,
-            },
-            "weights": {
-                "qos_weight": self.weights.qos_weight,
-                "cost_weight": self.weights.cost_weight,
-            },
-            "deployments_per_episode": self.deployments_per_episode,
-            "episodes": self.episodes,
-            "eval_experiments": self.eval_experiments,
-            "master_seed": self.master_seed,
-            "agent": {
-                "discount": self.agent.discount,
-                "batch_size": self.agent.batch_size,
-                "learning_rate": self.agent.learning_rate,
-                "replay_capacity": self.agent.replay_capacity,
-                "hidden_layers": self.agent.hidden_layers,
-                "hidden_width": self.agent.hidden_width,
-                "carry_next_state": self.agent.carry_next_state,
-                "epsilon_start": self.schedule.start,
-                "epsilon_floor": self.schedule.floor,
-                "epsilon_decay": self.schedule.decay,
-            },
-        }
+        """The config as a JSON object, in the shape `config_from_dict` reads."""
+        data = asdict(self)
+        schedule = data.pop("schedule")
+        data["agent"].update({key: schedule[name] for key, name in _SCHEDULE_KEYS.items()})
+        return data
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -125,31 +102,24 @@ def _section(data: dict, key: str) -> dict:
     return value
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON object, filling defaults, rejecting unknowns."""
     if not isinstance(data, dict):
         raise ValueError("config: expected a JSON object")
-    _reject_unknown(
-        data,
-        {"profile", "pricing", "weights", "deployments_per_episode", "episodes",
-         "eval_experiments", "master_seed", "agent"},
-        "config",
-    )
+    _reject_unknown(data, _field_names(ExperimentConfig) - {"schedule"}, "config")
     pricing_raw = _section(data, "pricing")
-    _reject_unknown(
-        pricing_raw,
-        {"vm_hourly", "cpu_hourly", "mem_hourly", "storage_hourly", "fog_price_ratio"},
-        "config.pricing",
-    )
+    _reject_unknown(pricing_raw, _field_names(PricingModel), "config.pricing")
     weights_raw = _section(data, "weights")
-    _reject_unknown(weights_raw, {"qos_weight", "cost_weight"}, "config.weights")
-    agent_raw = _section(data, "agent")
-    _reject_unknown(
-        agent_raw,
-        {"discount", "batch_size", "learning_rate", "replay_capacity", "hidden_layers",
-         "hidden_width", "carry_next_state", "epsilon_start", "epsilon_floor", "epsilon_decay"},
-        "config.agent",
-    )
+    _reject_unknown(weights_raw, _field_names(UtilityWeights), "config.weights")
+    agent_raw = dict(_section(data, "agent"))
+    _reject_unknown(agent_raw, _field_names(AgentConfig) | set(_SCHEDULE_KEYS), "config.agent")
+    schedule_raw = {
+        name: agent_raw.pop(key) for key, name in _SCHEDULE_KEYS.items() if key in agent_raw
+    }
     try:
         pricing = PricingModel(**pricing_raw)
     except (TypeError, ValueError) as exc:
@@ -158,32 +128,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         weights = UtilityWeights(**weights_raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config.weights: {exc}") from None
+    top_level = {k: v for k, v in data.items() if k not in ("pricing", "weights", "agent")}
     try:
-        schedule = EpsilonSchedule(
-            start=agent_raw.get("epsilon_start", 1.0),
-            floor=agent_raw.get("epsilon_floor", 0.01),
-            decay=agent_raw.get("epsilon_decay", 0.99),
-        )
-        agent = AgentConfig(
-            discount=agent_raw.get("discount", 0.95),
-            batch_size=agent_raw.get("batch_size", 5),
-            learning_rate=agent_raw.get("learning_rate", 0.001),
-            replay_capacity=agent_raw.get("replay_capacity", 2000),
-            hidden_layers=agent_raw.get("hidden_layers", 2),
-            hidden_width=agent_raw.get("hidden_width", 24),
-            carry_next_state=agent_raw.get("carry_next_state", True),
-            weights=weights,
-        )
         return ExperimentConfig(
-            profile=data.get("profile", "fd"),
+            **top_level,
             pricing=pricing,
             weights=weights,
-            deployments_per_episode=data.get("deployments_per_episode", DEPLOYMENTS_PER_EPISODE),
-            episodes=data.get("episodes"),
-            eval_experiments=data.get("eval_experiments", 100),
-            master_seed=data.get("master_seed", 2026),
-            agent=agent,
-            schedule=schedule,
+            agent=AgentConfig(**agent_raw),
+            schedule=EpsilonSchedule(**schedule_raw),
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config: {exc}") from None
@@ -284,7 +236,8 @@ def _write_run_json(out_dir: Path, command: str, cfg: ExperimentConfig, cfg_hash
         "outputs": {k: p.name for k, p in sorted(outputs.items())},
         "summary": summary,
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")
     return path
 
 
@@ -294,9 +247,7 @@ def build_agent(cfg: ExperimentConfig, profile: ApplicationProfile) -> DQNAgent:
     return DQNAgent(
         n_actions=profile.n_modules + 1,
         config=cfg.agent,
-        schedule=EpsilonSchedule(
-            start=cfg.schedule.start, floor=cfg.schedule.floor, decay=cfg.schedule.decay,
-        ),
+        schedule=replace(cfg.schedule, decays_done=0),
         seed=derive_seed(cfg.master_seed, "agent-init"),
     )
 
@@ -397,7 +348,10 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
     ckpt_path = out_dir / "checkpoint.json"
     save_checkpoint(
         agent, ckpt_path, profile_name=profile.name,
-        provenance={"config_hash": cfg_hash, "master_seed": cfg.master_seed},
+        provenance={
+            "config_hash": cfg_hash, "master_seed": cfg.master_seed,
+            "weights": asdict(cfg.weights),
+        },
     )
     files = {"learning_curve": curve_path, "checkpoint": ckpt_path}
     files["run"] = _write_run_json(

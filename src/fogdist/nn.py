@@ -5,14 +5,12 @@ hidden layers and identity on the output.  Training only ever regresses the
 output of a single action toward a scalar target, so the backward pass
 propagates the gradient of (target - q[action])**2 through that one output.
 Plain gradient descent, float64 throughout; parameters serialise to a
-versioned JSON file whose floats round-trip exactly.
+versioned JSON-ready dict whose floats round-trip exactly.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,17 +101,16 @@ class QNetwork:
         q = activations[-1][action]
         loss = (target - q) ** 2
 
-        grad_w = [np.zeros_like(w) for w in self.weights]
-        grad_b = [np.zeros_like(b) for b in self.biases]
         # dL/dq_a = 2 (q_a - target); the other outputs do not enter the loss.
         delta = np.zeros(self.architecture.output_dim)
         delta[action] = 2.0 * (q - target)
+        grad_w, grad_b = [], []
         for i in range(len(self.weights) - 1, -1, -1):
-            grad_w[i] = np.outer(delta, activations[i])
-            grad_b[i] = delta
+            grad_w.append(np.outer(delta, activations[i]))
+            grad_b.append(delta)
             if i > 0:
                 delta = (self.weights[i].T @ delta) * (pre[i - 1] > 0)
-        return loss, grad_w, grad_b
+        return loss, grad_w[::-1], grad_b[::-1]
 
     def sgd_step(self, x, action: int, target: float, learning_rate: float) -> float:
         """One descent step on the single-action squared error; returns the pre-step loss."""
@@ -126,32 +123,12 @@ class QNetwork:
             b -= learning_rate * gb
         return float(loss)
 
-    def clone(self) -> "QNetwork":
-        return QNetwork(
-            self.architecture,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
-    def copy_parameters_from(self, other: "QNetwork") -> None:
-        if other.architecture != self.architecture:
-            raise ValueError("cannot copy parameters across architectures")
-        for mine, theirs in zip(self.weights, other.weights):
-            mine[...] = theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine[...] = theirs
-
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
             "format_version": NETWORK_FORMAT_VERSION,
-            "architecture": {
-                "input_dim": self.architecture.input_dim,
-                "hidden_layers": self.architecture.hidden_layers,
-                "hidden_width": self.architecture.hidden_width,
-                "output_dim": self.architecture.output_dim,
-            },
+            "architecture": asdict(self.architecture),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -166,36 +143,3 @@ class QNetwork:
         weights = [np.array(w, dtype=np.float64) for w in data["weights"]]
         biases = [np.array(b, dtype=np.float64) for b in data["biases"]]
         return cls(arch, weights, biases)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "QNetwork":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def numeric_gradients(net: QNetwork, x, action: int, target: float, step: float = 1e-5):
-    """Central finite-difference gradients of the same single-action loss.
-
-    Reference oracle for testing the analytic backward pass.
-    """
-    def loss_at() -> float:
-        q = net.forward(x)[action]
-        return (target - q) ** 2
-
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
-    for params, grads in ((net.weights, grad_w), (net.biases, grad_b)):
-        for p, g in zip(params, grads):
-            flat_p = p.reshape(-1)
-            flat_g = g.reshape(-1)
-            for i in range(flat_p.size):
-                original = flat_p[i]
-                flat_p[i] = original + step
-                up = loss_at()
-                flat_p[i] = original - step
-                down = loss_at()
-                flat_p[i] = original
-                flat_g[i] = (up - down) / (2.0 * step)
-    return grad_w, grad_b

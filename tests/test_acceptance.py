@@ -35,8 +35,9 @@ from fogdist.model import (
     deployment_cost,
     fog_cost,
 )
-from fogdist.nn import NetworkArchitecture, QNetwork, numeric_gradients
+from fogdist.nn import NetworkArchitecture, QNetwork
 from fogdist.profiles import fd_profile, heavy_profile
+from gradcheck import numeric_gradients
 
 MASTER_SEED = 2026
 

@@ -1,9 +1,13 @@
 """Agent tests: strategies, replay memory, exploration schedule, training loop."""
+import copy
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogdist.agent import (
     AgentConfig,
@@ -141,7 +145,7 @@ def test_epsilon_schedule_validation():
 
 def test_compute_target_terminal_and_bootstrap():
     agent = DQNAgent(n_actions=2, config=AgentConfig(discount=0.95))
-    agent.target_network = bias_only_network([0.5, 2.0])
+    agent.network = bias_only_network([0.5, 2.0])
     terminal = Transition(np.zeros(19), 0, -1.0, np.ones(19), True)
     assert agent.compute_target(terminal) == -1.0
     ongoing = Transition(np.zeros(19), 0, -1.0, np.ones(19), False)
@@ -150,7 +154,7 @@ def test_compute_target_terminal_and_bootstrap():
 
 def test_compute_target_zero_discount_ignores_successor():
     agent = DQNAgent(n_actions=2, config=AgentConfig(discount=0.0))
-    agent.target_network = bias_only_network([100.0, 100.0])
+    agent.network = bias_only_network([100.0, 100.0])
     ongoing = Transition(np.zeros(19), 0, -3.0, np.ones(19), False)
     assert agent.compute_target(ongoing) == -3.0
 
@@ -171,14 +175,38 @@ def test_replay_skipped_until_memory_exceeds_batch():
     assert any(not np.array_equal(w, b) for w, b in zip(agent.network.weights, before))
 
 
-def test_replay_syncs_target_to_online_network():
-    agent = DQNAgent(n_actions=2)
-    rng = random.Random(0)
-    for _ in range(6):
-        agent.memory.remember(make_transition(reward=-2.0))
-    agent.replay(rng)
-    x = np.full(19, 0.3)
-    assert np.array_equal(agent.network.forward(x), agent.target_network.forward(x))
+@settings(max_examples=40, deadline=None)
+@given(
+    rewards=st.lists(st.floats(-5.0, 0.0), min_size=2, max_size=30),
+    terminals=st.lists(st.booleans(), min_size=30, max_size=30),
+    batch_size=st.integers(1, 8),
+    discount=st.floats(0.0, 0.99),
+    seed=st.integers(0, 2**16),
+)
+def test_replay_pass_matches_a_snapshot_target_reference(rewards, terminals, batch_size,
+                                                         discount, seed):
+    """Every target of a pass comes from the network as it stood before the pass,
+    and the per-sample steps then run in sampled order."""
+    agent = DQNAgent(n_actions=3, config=AgentConfig(batch_size=batch_size, discount=discount),
+                     seed=seed)
+    states = np.random.default_rng(seed).uniform(0.0, 1.0, size=(len(rewards) + 1, 19))
+    for i, reward in enumerate(rewards):
+        agent.memory.remember(Transition(states[i], i % 3, reward, states[i + 1], terminals[i]))
+
+    snapshot = copy.deepcopy(agent.network)
+    reference = copy.deepcopy(agent.network)
+    loss = agent.replay(random.Random(seed))
+    losses = []
+    if len(rewards) > batch_size:
+        for t in agent.memory.sample(random.Random(seed), batch_size):
+            target = t.reward
+            if not t.terminal:
+                target += discount * float(np.max(snapshot.forward(t.next_state)))
+            losses.append(reference.sgd_step(t.state, t.action, target, agent.config.learning_rate))
+    assert loss == (float(np.mean(losses)) if losses else None)
+    for mine, theirs in zip(agent.network.weights + agent.network.biases,
+                            reference.weights + reference.biases):
+        assert np.array_equal(mine, theirs)
 
 
 def test_replay_is_deterministic_for_a_seed():
@@ -283,7 +311,7 @@ def test_cost_only_training_learns_the_cheaper_tier():
     zero-discount cost-only learner must converge to the Cloud plan."""
     profile = heavy_profile()
     pricing = PricingModel(fog_price_ratio=1.0)
-    config = AgentConfig(discount=0.0, weights=COST_ONLY)
+    config = AgentConfig(discount=0.0)
     agent = DQNAgent(n_actions=profile.n_modules + 1, config=config, seed=3)
     train(profile, agent, episodes=100, pricing=pricing, weights=COST_ONLY,
           master_seed=17)
@@ -309,8 +337,6 @@ def test_checkpoint_round_trip(tmp_path):
     restored, meta = load_checkpoint(path)
     x = np.full(19, 0.4)
     assert np.array_equal(agent.network.forward(x), restored.network.forward(x))
-    assert np.array_equal(agent.target_network.forward(x),
-                          restored.target_network.forward(x))
     assert restored.config == agent.config
     assert restored.schedule == agent.schedule
     assert meta["profile_name"] == "fd"
@@ -324,6 +350,31 @@ def test_load_checkpoint_errors(tmp_path):
     bad.write_text('{"format_version": 99, "kind": "fogdist-agent"}')
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+    bad.write_text('{"format_version": 2, "kind": "fogdist-agent", "n_actions": 4}')
+    with pytest.raises(ValueError, match="malformed"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_format_1_is_rejected_with_a_retrain_hint(tmp_path):
+    agent = DQNAgent(n_actions=4, seed=2)
+    path = tmp_path / "v1.json"
+    save_checkpoint(agent, path, profile_name="fd")
+    data = json.loads(path.read_text())
+    assert "target_network" not in data and "weights" not in data["config"]
+    data["format_version"] = 1
+    data["target_network"] = data["network"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="format version 1 .*retrain"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_refuses_non_finite_parameters(tmp_path):
+    agent = DQNAgent(n_actions=4, seed=2)
+    agent.network.weights[1][0, 0] = float("nan")
+    path = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_checkpoint(agent, path, profile_name="fd")
+    assert not path.exists()
 
 
 def test_agent_config_validation():

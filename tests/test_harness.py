@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fogdist.agent import DQNAgent, GreedyNetworkStrategy, StaticStrategy, run_episode
+from fogdist.agent import (
+    AgentConfig,
+    DQNAgent,
+    EpsilonSchedule,
+    GreedyNetworkStrategy,
+    StaticStrategy,
+    run_episode,
+)
 from fogdist.cli import EXIT_CALIBRATION, EXIT_OK, EXIT_VALIDATION, main
 from fogdist.env import FogEnvironment
 from fogdist.harness import (
@@ -69,7 +76,6 @@ def test_config_sections_parse():
     assert cfg.pricing.vm_hourly == PricingModel().vm_hourly
     assert cfg.weights.cost_weight == -2.0
     assert cfg.agent.learning_rate == 0.005
-    assert cfg.agent.weights == cfg.weights
     assert cfg.schedule.decay == 0.95
 
 
@@ -102,6 +108,49 @@ def test_config_hash_tracks_content():
     assert config_hash(config_from_dict({})) == config_hash(config_from_dict({}))
     assert config_hash(config_from_dict({})) != config_hash(config_from_dict({"master_seed": 1}))
     assert len(config_hash(config_from_dict({}))) == 12
+    # Output files carry this hash: the default config's must not drift.
+    assert config_hash(config_from_dict({})) == "a74e0b5077b0"
+
+
+@st.composite
+def experiment_configs(draw):
+    """Valid configs with every field drawn (the schedule's decay count stays 0)."""
+    price = st.floats(0.0, 1.0)
+    weight = st.floats(-5.0, 0.0)
+    qos, cost = draw(weight), draw(weight)
+    assume(qos != 0 or cost != 0)
+    floor = draw(st.floats(0.0, 1.0))
+    return ExperimentConfig(
+        profile=draw(st.sampled_from(["fd", "ipokemon", "heavy"])),
+        pricing=PricingModel(draw(price), draw(price), draw(price), draw(price),
+                             draw(st.floats(1e-6, 10.0))),
+        weights=UtilityWeights(qos, cost),
+        deployments_per_episode=draw(st.integers(1, 100)),
+        episodes=draw(st.none() | st.integers(1, 1000)),
+        eval_experiments=draw(st.integers(1, 1000)),
+        master_seed=draw(st.integers(0, 2**32)),
+        agent=AgentConfig(
+            discount=draw(st.floats(0.0, 0.999)),
+            batch_size=draw(st.integers(1, 64)),
+            learning_rate=draw(st.floats(1e-6, 1.0)),
+            replay_capacity=draw(st.integers(1, 10_000)),
+            hidden_layers=draw(st.integers(1, 4)),
+            hidden_width=draw(st.integers(1, 64)),
+            carry_next_state=draw(st.booleans()),
+        ),
+        schedule=EpsilonSchedule(
+            start=draw(st.floats(floor, 1.0)), floor=floor,
+            decay=draw(st.floats(0.01, 0.999)),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=experiment_configs())
+def test_config_round_trips_through_its_json_form(cfg):
+    data = cfg.to_dict()
+    assert config_from_dict(data) == cfg
+    assert config_from_dict(json.loads(json.dumps(data))) == cfg
 
 
 def test_experiment_config_validation():
@@ -237,6 +286,19 @@ def test_cmd_train_outputs(tmp_path):
     assert run["config_hash"] == artifacts.config_hash
     assert "timestamp" not in json.dumps(run)
     assert (tmp_path / "checkpoint.json").exists()
+
+
+def test_train_checkpoint_is_format_2_with_the_weights_in_provenance(tmp_path):
+    cfg = small_config(weights=UtilityWeights(qos_weight=0.0, cost_weight=-2.0))
+    artifacts = cmd_train(cfg, tmp_path)
+    data = json.loads((tmp_path / "checkpoint.json").read_text())
+    assert data["format_version"] == 2
+    assert "target_network" not in data
+    assert "weights" not in data["config"]
+    assert data["provenance"] == {
+        "config_hash": artifacts.config_hash, "master_seed": 99,
+        "weights": {"qos_weight": 0.0, "cost_weight": -2.0},
+    }
 
 
 def test_cmd_train_is_byte_deterministic(tmp_path):
@@ -457,6 +519,22 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     bad_cfg.write_text(json.dumps({"unknown_option": 1}))
     assert main(["train", "--config", str(bad_cfg)]) == EXIT_VALIDATION
     assert main(["train", "--config", str(bad_cfg), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_cli_evaluate_rejects_a_format_1_checkpoint(tmp_path, cli_config, capsys):
+    train_dir = tmp_path / "train"
+    assert main(["train", "--config", str(cli_config), "--out-dir", str(train_dir)]) == EXIT_OK
+    ckpt = train_dir / "checkpoint.json"
+    data = json.loads(ckpt.read_text())
+    data["format_version"] = 1
+    data["target_network"] = data["network"]
+    ckpt.write_text(json.dumps(data))
+    capsys.readouterr()
+    eval_dir = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cli_config), "--checkpoint", str(ckpt),
+                 "--out-dir", str(eval_dir)]) == EXIT_VALIDATION
+    assert "format version 1" in capsys.readouterr().err
+    assert not eval_dir.exists()
 
 
 def test_cli_calibrate_exit_codes(tmp_path, capsys):
