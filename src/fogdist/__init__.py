@@ -19,9 +19,7 @@ from .model import (
 from .profiles import (
     ApplicationProfile,
     ModuleProfile,
-    builtin_profiles,
     fd_profile,
-    get_profile,
     heavy_profile,
     ipokemon_profile,
     load_profile,

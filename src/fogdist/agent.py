@@ -30,7 +30,7 @@ from .model import (
     strategy_utility,
 )
 from .nn import NetworkArchitecture, QNetwork
-from .profiles import ApplicationProfile
+from .profiles import ApplicationProfile, read_json_file, record_from_dict
 from .seeding import derive_seed
 
 CHECKPOINT_FORMAT_VERSION = 2
@@ -274,7 +274,6 @@ def simulate_episode(
     strategy,
     rng: random.Random,
     deployments: int = DEPLOYMENTS_PER_EPISODE,
-    clock: SimClock | None = None,
     after_deployment=None,
 ) -> list[DeploymentOutcome]:
     """The episode loop: a fixed number of deployments on a single environment.
@@ -288,7 +287,7 @@ def simulate_episode(
     """
     if deployments < 1:
         raise ValueError("deployments must be >= 1")
-    clock = clock or SimClock()
+    clock = SimClock()
     state = env.observe_normalized(clock)
     outcomes = []
     for j in range(1, deployments + 1):
@@ -312,7 +311,6 @@ def run_episode(
     weights: UtilityWeights,
     rng: random.Random,
     deployments: int = DEPLOYMENTS_PER_EPISODE,
-    clock: SimClock | None = None,
 ) -> EpisodeResult:
     """One scored episode: simulate, and score each deployment as it happens.
 
@@ -341,7 +339,7 @@ def run_episode(
         )
         return carried
 
-    simulate_episode(env, strategy, rng, deployments, clock, after_deployment=score_and_learn)
+    simulate_episode(env, strategy, rng, deployments, after_deployment=score_and_learn)
     return _episode_result(records)
 
 
@@ -353,7 +351,6 @@ def train(
     weights: UtilityWeights,
     master_seed: int,
     deployments: int = DEPLOYMENTS_PER_EPISODE,
-    stressed: bool = True,
 ) -> list[float]:
     """Train in place over sequential episodes; returns per-episode utility.
 
@@ -371,9 +368,7 @@ def train(
     rng = random.Random(derive_seed(master_seed, "agent-actions"))
     curve = []
     for episode in range(episodes):
-        env = FogEnvironment(
-            profile, seed=derive_seed(master_seed, "train-episode", episode), stressed=stressed
-        )
+        env = FogEnvironment(profile, seed=derive_seed(master_seed, "train-episode", episode))
         result = run_episode(env, agent, pricing, weights, rng, deployments=deployments)
         curve.append(result.utility)
     return curve
@@ -407,9 +402,7 @@ def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
 def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
     """Restore an agent from a checkpoint; returns (agent, metadata)."""
     path = Path(path)
-    if not path.exists():
-        raise ValueError(f"checkpoint file not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json_file(path, "checkpoint")
     if not isinstance(data, dict) or data.get("kind") != "fogdist-agent":
         raise ValueError(f"{path}: not a fogdist agent checkpoint")
     version = data.get("format_version")
@@ -418,12 +411,13 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
             f"{path}: checkpoint format version {version!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT_VERSION}); retrain to write a current checkpoint"
         )
+    for section in ("config", "schedule", "network"):
+        if not isinstance(data.get(section), dict):
+            raise ValueError(f"{path}: malformed checkpoint ({section!r} is not an object)")
+    config = record_from_dict(AgentConfig, data["config"], f"{path}.config")
+    schedule = record_from_dict(EpsilonSchedule, data["schedule"], f"{path}.schedule")
     try:
-        agent = DQNAgent(
-            n_actions=data["n_actions"],
-            config=AgentConfig(**data["config"]),
-            schedule=EpsilonSchedule(**data["schedule"]),
-        )
+        agent = DQNAgent(n_actions=data["n_actions"], config=config, schedule=schedule)
         agent.network = QNetwork.from_dict(data["network"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint ({exc!r})") from None

@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from .harness import (
     ExperimentConfig,
@@ -21,7 +19,7 @@ from .harness import (
     config_from_dict,
     load_config,
 )
-from .model import FOG_PRICE_RATIO_GRID, PricingModel, UtilityWeights
+from .model import FOG_PRICE_RATIO_GRID, UtilityWeights
 from .profiles import resolve_profile
 
 EXIT_OK = 0

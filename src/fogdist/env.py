@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +77,7 @@ STATE_CAPS: dict[str, float] = {
     "delay_fog_cloud": 500.0,   # ms
     "delay_dev_cloud": 500.0,   # ms
 }
+_CAP_VECTOR = np.array([STATE_CAPS[f] for f in STATE_FACTORS], dtype=np.float64)
 
 
 @dataclass
@@ -99,28 +100,21 @@ class StressProcess:
     no matter how advancement is chunked.
     """
 
-    def __init__(self, seed: int, capacity_units: int = CAPACITY_UNITS,
-                 resample_interval_s: float = STRESS_RESAMPLE_S):
-        if capacity_units < 1:
-            raise ValueError("capacity_units must be >= 1")
-        if resample_interval_s <= 0:
-            raise ValueError("resample_interval_s must be > 0")
+    def __init__(self, seed: int):
         self.seed = seed
-        self.capacity_units = capacity_units
-        self.resample_interval_s = resample_interval_s
         self.elapsed_s = 0.0
         self._rng = random.Random(seed)
-        self.load = self._rng.randrange(capacity_units)  # interval 0
+        self.load = self._rng.randrange(CAPACITY_UNITS)  # interval 0
 
     def advance(self, dt: float) -> None:
         """Move simulated time forward, re-rolling the load at each boundary."""
         if not math.isfinite(dt) or dt < 0:
             raise ValueError(f"stress process can only move forward, got dt={dt!r}")
-        before = int(self.elapsed_s / self.resample_interval_s)
+        before = int(self.elapsed_s / STRESS_RESAMPLE_S)
         self.elapsed_s += dt
-        after = int(self.elapsed_s / self.resample_interval_s)
+        after = int(self.elapsed_s / STRESS_RESAMPLE_S)
         for _ in range(after - before):
-            self.load = self._rng.randrange(self.capacity_units)
+            self.load = self._rng.randrange(CAPACITY_UNITS)
 
 
 def transmission_time(data_units: float, profile: ApplicationProfile) -> float:
@@ -248,26 +242,10 @@ class FogNodeState:
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, f) for f in STATE_FACTORS], dtype=np.float64)
 
-    def validate(self) -> None:
-        vec = self.as_vector()
-        if vec.shape != (len(STATE_FACTORS),) or not np.all(np.isfinite(vec)):
-            raise ValueError("state must hold 19 finite factors")
-        if not 0.0 <= self.cpu_util <= 1.0:
-            raise ValueError(f"cpu_util out of [0, 1]: {self.cpu_util!r}")
-        if self.mem_used > self.mem_total or self.swap_used > self.swap_total:
-            raise ValueError("memory usage exceeds totals")
-        if self.disk_used > self.disk_total:
-            raise ValueError("disk usage exceeds total")
-        if np.any(vec < 0):
-            raise ValueError("state factors must be >= 0")
 
-
-def normalize_state(state: FogNodeState, caps: dict[str, float] | None = None) -> np.ndarray:
+def normalize_state(state: FogNodeState) -> np.ndarray:
     """Min-max squash each factor into [0, 1] using the fixed caps."""
-    caps = caps or STATE_CAPS
-    vec = state.as_vector()
-    cap_vec = np.array([caps[f] for f in STATE_FACTORS], dtype=np.float64)
-    return np.clip(vec / cap_vec, 0.0, 1.0)
+    return np.clip(state.as_vector() / _CAP_VECTOR, 0.0, 1.0)
 
 
 class FogEnvironment:
@@ -278,12 +256,10 @@ class FogEnvironment:
     time only, never with the agent's choices.
     """
 
-    def __init__(self, profile: ApplicationProfile, seed: int = 0, stressed: bool = True,
-                 caps: dict[str, float] | None = None):
+    def __init__(self, profile: ApplicationProfile, seed: int = 0, stressed: bool = True):
         self.profile = profile
         self.seed = seed
         self.stressed = stressed
-        self.caps = caps or STATE_CAPS
         self.stress = StressProcess(derive_seed(seed, "stress"))
         self._sensor_rng = random.Random(derive_seed(seed, "sensor"))
         self._deployed_modules = 0            # leading modules currently on the node
@@ -339,8 +315,8 @@ class FogEnvironment:
         self._delay_fog_cloud_ms = self.profile.base_delay_fog_cloud_ms * self._sensor_rng.uniform(0.9, 1.1)
         self._delay_dev_cloud_ms = self.profile.base_delay_dev_cloud_ms * self._sensor_rng.uniform(0.9, 1.1)
         return FogNodeState(
-            cpu_util=load / self.stress.capacity_units,
-            cpu_count=float(self.stress.capacity_units),
+            cpu_util=load / CAPACITY_UNITS,
+            cpu_count=float(CAPACITY_UNITS),
             cpu_freq=CPU_FREQ_MHZ,
             mem_total=MEM_TOTAL_GB,
             mem_used=mem_used,
@@ -361,7 +337,7 @@ class FogEnvironment:
         )
 
     def observe_normalized(self, clock: SimClock) -> np.ndarray:
-        return normalize_state(self.observe(clock), self.caps)
+        return normalize_state(self.observe(clock))
 
     def execute(self, fog_modules: int, clock: SimClock) -> DeploymentOutcome:
         """Deploy a plan, stream all requests through it, advance the clock.
@@ -382,7 +358,7 @@ class FogEnvironment:
         uplink_units = 0.0
         for _ in range(requests):
             self._sync(clock.now)
-            available = self.stress.capacity_units - self._load()
+            available = CAPACITY_UNITS - self._load()
             parts = request_latency_breakdown(
                 profile, k, available_units=available,
                 fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,

@@ -40,7 +40,7 @@ from .agent import (
 )
 from .env import STATE_FACTORS, FogEnvironment, request_latency_breakdown
 from .model import FOG_PRICE_RATIO_GRID, PricingModel, UtilityWeights
-from .profiles import ApplicationProfile, _reject_unknown, resolve_profile
+from .profiles import ApplicationProfile, read_json_file, record_from_dict, resolve_profile
 from .seeding import derive_seed
 
 RUN_FORMAT_VERSION = 1
@@ -95,61 +95,34 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _section(data: dict, key: str) -> dict:
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{key}: expected an object")
-    return value
-
-
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
+# The config's keys: every field but the schedule, which lives in "agent".
+_CONFIG_KEYS = {f.name: f.name for f in fields(ExperimentConfig) if f.name != "schedule"}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from a JSON object, filling defaults, rejecting unknowns."""
+    """Build a config from a JSON object, filling defaults, rejecting unknowns.
+
+    Values are type-checked and errors name their path (see
+    `record_from_dict`).  The exploration schedule is read from the
+    ``epsilon_*`` keys of the "agent" section, where `to_dict` writes it.
+    """
     if not isinstance(data, dict):
-        raise ValueError("config: expected a JSON object")
-    _reject_unknown(data, _field_names(ExperimentConfig) - {"schedule"}, "config")
-    pricing_raw = _section(data, "pricing")
-    _reject_unknown(pricing_raw, _field_names(PricingModel), "config.pricing")
-    weights_raw = _section(data, "weights")
-    _reject_unknown(weights_raw, _field_names(UtilityWeights), "config.weights")
-    agent_raw = dict(_section(data, "agent"))
-    _reject_unknown(agent_raw, _field_names(AgentConfig) | set(_SCHEDULE_KEYS), "config.agent")
-    schedule_raw = {
-        name: agent_raw.pop(key) for key, name in _SCHEDULE_KEYS.items() if key in agent_raw
-    }
-    try:
-        pricing = PricingModel(**pricing_raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config.{exc}") from None
-    try:
-        weights = UtilityWeights(**weights_raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config.weights: {exc}") from None
-    top_level = {k: v for k, v in data.items() if k not in ("pricing", "weights", "agent")}
-    try:
-        return ExperimentConfig(
-            **top_level,
-            pricing=pricing,
-            weights=weights,
-            agent=AgentConfig(**agent_raw),
-            schedule=EpsilonSchedule(**schedule_raw),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config: {exc}") from None
+        raise ValueError("config: expected an object")
+    agent = data.get("agent", {})
+    schedule = {}
+    if isinstance(agent, dict):         # the reader reports any other "agent"
+        schedule = {key: value for key, value in agent.items() if key in _SCHEDULE_KEYS}
+        agent = {key: value for key, value in agent.items() if key not in _SCHEDULE_KEYS}
+        data = {**data, "agent": agent}
+    cfg = record_from_dict(ExperimentConfig, data, "config", keys=_CONFIG_KEYS)
+    return replace(
+        cfg,
+        schedule=record_from_dict(EpsilonSchedule, schedule, "config.agent", keys=_SCHEDULE_KEYS),
+    )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path}: invalid JSON ({exc})") from None
-    return config_from_dict(data)
+    return config_from_dict(read_json_file(Path(path), "config"))
 
 
 @dataclass(frozen=True)
@@ -206,11 +179,9 @@ class RunArtifacts:
     master_seed: int
     files: dict[str, Path] = field(default_factory=dict)
     learning_curve: list[float] | None = None
-    results: dict[str, list[EpisodeResult]] | None = None
     boxplots: dict[str, BoxplotStats] | None = None
     mean_costs: dict | None = None
     latency: BoxplotStats | None = None
-    calibration: "CalibrationReport | None" = None
 
 
 # -- file emission -----------------------------------------------------------
@@ -259,7 +230,6 @@ def evaluate_strategies(
     experiments: int,
     master_seed: int,
     deployments: int = DEPLOYMENTS_PER_EPISODE,
-    stressed: bool = True,
 ) -> list[dict[str, list[EpisodeResult]]]:
     """Run every strategy through the same seeded experiments; score each cell.
 
@@ -284,11 +254,7 @@ def evaluate_strategies(
     for name, strategy in strategies.items():
         trajectories = []
         for index in range(experiments):
-            env = FogEnvironment(
-                profile,
-                seed=derive_seed(master_seed, "eval-experiment", index),
-                stressed=stressed,
-            )
+            env = FogEnvironment(profile, seed=derive_seed(master_seed, "eval-experiment", index))
             rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
             trajectories.append(simulate_episode(env, strategy, rng, deployments=deployments))
         for per_cell, (pricing, weights) in zip(results, cells):
@@ -331,9 +297,9 @@ def _reject_repeats(values: list, what: str) -> None:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
     """Train the learner and emit learning_curve.csv plus a checkpoint."""
+    profile = cfg.resolved_profile()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    profile = cfg.resolved_profile()
     cfg_hash = config_hash(cfg)
     agent = build_agent(cfg, profile)
     curve = train(
@@ -407,7 +373,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | P
     )
     return RunArtifacts(
         command="evaluate", config_hash=cfg_hash, master_seed=cfg.master_seed,
-        files=files, results=results, boxplots=boxplots,
+        files=files, boxplots=boxplots,
     )
 
 
@@ -486,7 +452,7 @@ def cmd_sweep(
     )
     return RunArtifacts(
         command="sweep", config_hash=cfg_hash, master_seed=cfg.master_seed,
-        files=files, results=None, boxplots=None, mean_costs=mean_costs,
+        files=files, mean_costs=mean_costs,
     )
 
 

@@ -8,13 +8,17 @@ raw request takes on the fog-to-cloud uplink, which anchors the whole
 transmission model.
 
 Profiles can be loaded from JSON so new use-cases need no code changes; see
-``load_profile`` and the README for the schema.
+``load_profile`` and the README for the schema.  ``record_from_dict``, the
+one reader of typed JSON records, also reads experiment configs and the
+sections of agent checkpoints.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .model import MAX_CPU_UNITS, ResourceUsage
@@ -44,7 +48,7 @@ class ModuleProfile:
     """One pipeline stage: timing, traffic shaping, and resource demand."""
 
     name: str
-    compute_s: float                     # service time per request, unstressed
+    compute_s: float = 0.0               # service time per request, unstressed
     fog_extra_s: float = 0.0             # added latency when hosted on the Fog node
     data_out_ratio: float = 1.0          # output payload / input payload
     pass_fraction: float = 1.0           # share of requests forwarded downstream
@@ -69,11 +73,11 @@ class ApplicationProfile:
 
     name: str
     modules: tuple[ModuleProfile, ...]
-    raw_request_data: float              # payload size of one raw request, in data units
-    requests_per_deployment: int
-    uplink_seconds_per_raw_unit: float   # fog-to-cloud uplink time per data unit
-    base_delay_fog_cloud_ms: float
-    base_delay_dev_cloud_ms: float
+    raw_request_data: float = 1.0        # payload size of one raw request, in data units
+    requests_per_deployment: int = 20
+    uplink_seconds_per_raw_unit: float = 0.0   # fog-to-cloud uplink time per data unit
+    base_delay_fog_cloud_ms: float = 0.0
+    base_delay_dev_cloud_ms: float = 0.0
 
     def __post_init__(self):
         if not self.name:
@@ -194,11 +198,6 @@ def heavy_profile() -> ApplicationProfile:
     )
 
 
-def builtin_profiles() -> tuple[ApplicationProfile, ApplicationProfile]:
-    """The two calibrated evaluation profiles."""
-    return (fd_profile(), ipokemon_profile())
-
-
 _BUILTIN_FACTORIES = {
     "fd": fd_profile,
     "ipokemon": ipokemon_profile,
@@ -206,116 +205,115 @@ _BUILTIN_FACTORIES = {
 }
 
 
-def get_profile(name: str) -> ApplicationProfile:
-    """Look up a builtin profile by name."""
-    try:
-        return _BUILTIN_FACTORIES[name]()
-    except KeyError:
-        known = ", ".join(sorted(_BUILTIN_FACTORIES))
-        raise ValueError(f"unknown builtin profile {name!r} (known: {known})") from None
-
-
 def profile_to_dict(profile: ApplicationProfile) -> dict:
-    return {
-        "format_version": PROFILE_FORMAT_VERSION,
-        "name": profile.name,
-        "raw_request_data": profile.raw_request_data,
-        "requests_per_deployment": profile.requests_per_deployment,
-        "uplink_seconds_per_raw_unit": profile.uplink_seconds_per_raw_unit,
-        "base_delay_fog_cloud_ms": profile.base_delay_fog_cloud_ms,
-        "base_delay_dev_cloud_ms": profile.base_delay_dev_cloud_ms,
-        "modules": [
-            {
-                "name": m.name,
-                "compute_s": m.compute_s,
-                "fog_extra_s": m.fog_extra_s,
-                "data_out_ratio": m.data_out_ratio,
-                "pass_fraction": m.pass_fraction,
-                "demand": {
-                    "cpu_units": m.demand.cpu_units,
-                    "mem_gb": m.demand.mem_gb,
-                    "storage_gb": m.demand.storage_gb,
-                },
-            }
-            for m in profile.modules
-        ],
-    }
-
-
-def _reject_unknown(given: dict, allowed: set[str], where: str) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
+    return {"format_version": PROFILE_FORMAT_VERSION, **asdict(profile)}
 
 
 def profile_from_dict(data: dict, where: str = "profile") -> ApplicationProfile:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object")
-    allowed = {
-        "format_version", "name", "raw_request_data", "requests_per_deployment",
-        "uplink_seconds_per_raw_unit", "base_delay_fog_cloud_ms",
-        "base_delay_dev_cloud_ms", "modules",
-    }
-    _reject_unknown(data, allowed, where)
     version = data.get("format_version", PROFILE_FORMAT_VERSION)
     if version != PROFILE_FORMAT_VERSION:
         raise ValueError(f"{where}.format_version: unsupported version {version!r}")
-    raw_modules = data.get("modules")
-    if not isinstance(raw_modules, list) or not raw_modules:
-        raise ValueError(f"{where}.modules: expected a non-empty list")
-    modules = []
-    for i, m in enumerate(raw_modules):
-        mwhere = f"{where}.modules[{i}]"
-        if not isinstance(m, dict):
-            raise ValueError(f"{mwhere}: expected an object")
-        _reject_unknown(
-            m,
-            {"name", "compute_s", "fog_extra_s", "data_out_ratio", "pass_fraction", "demand"},
-            mwhere,
-        )
-        demand = m.get("demand", {})
-        if not isinstance(demand, dict):
-            raise ValueError(f"{mwhere}.demand: expected an object")
-        _reject_unknown(demand, {"cpu_units", "mem_gb", "storage_gb"}, f"{mwhere}.demand")
-        modules.append(
-            ModuleProfile(
-                name=m.get("name", ""),
-                compute_s=m.get("compute_s", 0.0),
-                fog_extra_s=m.get("fog_extra_s", 0.0),
-                data_out_ratio=m.get("data_out_ratio", 1.0),
-                pass_fraction=m.get("pass_fraction", 1.0),
-                demand=ResourceUsage(
-                    cpu_units=demand.get("cpu_units", 0.0),
-                    mem_gb=demand.get("mem_gb", 0.0),
-                    storage_gb=demand.get("storage_gb", 0.0),
-                ),
-            )
-        )
+    fields_only = {k: v for k, v in data.items() if k != "format_version"}
+    return record_from_dict(ApplicationProfile, fields_only, where)
+
+
+# -- typed JSON records ------------------------------------------------------
+
+# How an error names the JSON values each scalar annotation accepts.
+_JSON_NAMES = {
+    bool: "true/false", int: "an integer", float: "a number", str: "a string",
+    type(None): "null",
+}
+
+
+def _shown(value) -> str:
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, (list, tuple)):
+        return "a list"
+    return json.dumps(value, default=repr)
+
+
+def _typed_value(kind, value, where: str):
+    """`value` read as annotation `kind`: a record, a tuple, or a checked scalar."""
+    if is_dataclass(kind):
+        return record_from_dict(kind, value, where)
+    if typing.get_origin(kind) is tuple:          # tuple[X, ...], as `asdict` leaves it too
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where}: expected a list, got {_shown(value)}")
+        item_kind = typing.get_args(kind)[0]
+        return tuple(_typed_value(item_kind, item, f"{where}[{i}]") for i, item in enumerate(value))
+    accepted = typing.get_args(kind) or (kind,)   # int | None -> (int, NoneType)
+    if any(_json_matches(value, scalar) for scalar in accepted):
+        return value
+    expected = " or ".join(_JSON_NAMES[scalar] for scalar in accepted)
+    raise ValueError(f"{where}: expected {expected}, got {_shown(value)}")
+
+
+def _json_matches(value, scalar) -> bool:
+    """Whether a JSON value has the type a scalar annotation asks for."""
+    if isinstance(value, bool):                   # bool is a subclass of int
+        return scalar is bool
+    return isinstance(value, (int, float) if scalar is float else scalar)
+
+
+@functools.cache
+def _field_kinds(cls) -> dict:
+    """The evaluated annotations of a dataclass's fields, computed once per class."""
+    return typing.get_type_hints(cls)
+
+
+def record_from_dict(cls, data, where: str, keys: dict[str, str] | None = None):
+    """Build dataclass `cls` from a JSON object, checking every value's type.
+
+    ``keys`` maps each accepted JSON key to its field; by default every
+    field is accepted under its own name.  A missing key takes the field's
+    default, an unknown one is rejected.  Nested dataclass fields and
+    ``tuple[X, ...]`` fields are read recursively, scalars are checked
+    against the field's annotation and kept exactly as given (an integer in
+    a float field stays an integer).  Every error is a ValueError naming
+    the path of the bad value below ``where``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {_shown(data)}")
+    if keys is None:
+        keys = {f.name: f.name for f in fields(cls)}
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
+    required = {
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    }
+    missing = sorted(key for key, name in keys.items() if name in required and key not in data)
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {missing}")
+    kinds = _field_kinds(cls)
+    values = {
+        keys[key]: _typed_value(kinds[keys[key]], value, f"{where}.{key}")
+        for key, value in data.items()
+    }
     try:
-        return ApplicationProfile(
-            name=data.get("name", ""),
-            modules=tuple(modules),
-            raw_request_data=data.get("raw_request_data", 1.0),
-            requests_per_deployment=data.get("requests_per_deployment", 20),
-            uplink_seconds_per_raw_unit=data.get("uplink_seconds_per_raw_unit", 0.0),
-            base_delay_fog_cloud_ms=data.get("base_delay_fog_cloud_ms", 0.0),
-            base_delay_dev_cloud_ms=data.get("base_delay_dev_cloud_ms", 0.0),
-        )
+        return cls(**values)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def read_json_file(path: Path, what: str):
+    """The parsed content of a JSON file; a ValueError names a missing or invalid file."""
+    if not path.exists():
+        raise ValueError(f"{what} file not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} file {path}: invalid JSON ({exc})") from None
+
+
 def load_profile(path: str | Path) -> ApplicationProfile:
     """Load an application profile from a JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"profile file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"profile file {path}: invalid JSON ({exc})") from None
-    return profile_from_dict(data, where=str(path))
+    return profile_from_dict(read_json_file(Path(path), "profile"), where=str(path))
 
 
 def resolve_profile(name_or_path: str) -> ApplicationProfile:

@@ -6,13 +6,12 @@ tens of seconds; everything is seeded and deterministic except the
 wall-clock criterion (09), which measures this machine.
 """
 import dataclasses
-import math
 import time
 
 import numpy as np
 import pytest
 
-from fogdist.agent import DQNAgent, EpsilonSchedule, train
+from fogdist.agent import EpsilonSchedule, train
 from fogdist.env import request_latency_breakdown
 from fogdist.harness import (
     FD_TRANSMISSION_CHAIN_S,
@@ -30,7 +29,6 @@ from fogdist.model import (
     FOG_PRICE_RATIO_GRID,
     PricingModel,
     ResourceUsage,
-    UtilityWeights,
     cloud_cost,
     deployment_cost,
     fog_cost,

@@ -1,16 +1,15 @@
 """Environment tests: stress process, latency laws, observation, deployments."""
-import math
 import random
 
 import numpy as np
 import pytest
 
 from fogdist.env import (
-    AVAILABILITY_FLOOR,
     CAPACITY_UNITS,
     STATE_CAPS,
     STATE_FACTORS,
     FogEnvironment,
+    FogNodeState,
     SimClock,
     StressProcess,
     contended_time,
@@ -19,6 +18,16 @@ from fogdist.env import (
     transmission_time,
 )
 from fogdist.profiles import fd_profile, heavy_profile, ipokemon_profile
+
+
+def assert_valid_state(state: FogNodeState) -> None:
+    """The invariants every observed node state must hold."""
+    vec = state.as_vector()
+    assert vec.shape == (len(STATE_FACTORS),) and np.all(np.isfinite(vec))
+    assert 0.0 <= state.cpu_util <= 1.0
+    assert state.mem_used <= state.mem_total and state.swap_used <= state.swap_total
+    assert state.disk_used <= state.disk_total
+    assert np.all(vec >= 0)
 
 
 # -- stress process ----------------------------------------------------------
@@ -160,7 +169,7 @@ def test_breakdown_rejects_bad_plan():
 def test_observe_unstressed_node_is_idle():
     env = FogEnvironment(fd_profile(), seed=1, stressed=False)
     state = env.observe(SimClock())
-    state.validate()
+    assert_valid_state(state)
     assert state.cpu_util == 0.0
     assert state.cpu_count == 8.0
     assert state.mem_used == 0.0  # nothing deployed yet
@@ -192,7 +201,7 @@ def test_observe_memory_never_exceeds_totals():
     env.execute(3, clock)
     for _ in range(100):
         state = env.observe(clock)
-        state.validate()
+        assert_valid_state(state)
         assert state.mem_used <= state.mem_total
         assert state.swap_used <= state.swap_total
         clock.advance(10.0)
@@ -230,6 +239,10 @@ def test_normalize_state_is_unit_interval():
     assert vec.shape == (19,)
     assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
     assert set(STATE_CAPS) == set(STATE_FACTORS)
+    # each factor is divided by its own cap
+    state = env.observe(clock)
+    expected = [min(1.0, getattr(state, f) / STATE_CAPS[f]) for f in STATE_FACTORS]
+    assert normalize_state(state).tolist() == expected
 
 
 # -- deployments -------------------------------------------------------------

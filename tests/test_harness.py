@@ -153,6 +153,26 @@ def test_config_round_trips_through_its_json_form(cfg):
     assert config_from_dict(json.loads(json.dumps(data))) == cfg
 
 
+def test_config_values_are_kept_exactly_as_given():
+    cfg = config_from_dict({"pricing": {"vm_hourly": 0}})
+    assert cfg.pricing.vm_hourly == 0 and type(cfg.pricing.vm_hourly) is int
+    # so an integer-valued price hashes as it always did
+    assert config_hash(cfg) == "3761e04e4506"
+
+
+def test_config_errors_name_the_path_of_the_bad_value():
+    with pytest.raises(ValueError, match=r"^config: unknown key\(s\) \['schedule'\]"):
+        config_from_dict({"schedule": {"start": 1.0}})
+    with pytest.raises(ValueError, match=r"^config.agent: unknown key\(s\) \['epsilon_decays_done'\]"):
+        config_from_dict({"agent": {"epsilon_decays_done": 3}})
+    with pytest.raises(ValueError, match="^config.agent: expected an object, got 5"):
+        config_from_dict({"agent": 5})
+    with pytest.raises(ValueError, match="^config.agent: need 0 <= floor <= start"):
+        config_from_dict({"agent": {"epsilon_start": 0.5, "epsilon_floor": 0.6}})
+    with pytest.raises(ValueError, match="^config: episodes: must be >= 1"):
+        config_from_dict({"episodes": 0})
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         small_config(deployments_per_episode=0)
@@ -519,6 +539,90 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     bad_cfg.write_text(json.dumps({"unknown_option": 1}))
     assert main(["train", "--config", str(bad_cfg)]) == EXIT_VALIDATION
     assert main(["train", "--config", str(bad_cfg), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+
+
+MISTYPED_CONFIGS = [
+    ({"episodes": 2.5}, "config.episodes"),
+    ({"agent": {"batch_size": 2.5}}, "config.agent.batch_size"),
+    ({"master_seed": "x"}, "config.master_seed"),
+    ({"eval_experiments": True}, "config.eval_experiments"),
+    ({"agent": {"carry_next_state": "no"}}, "config.agent.carry_next_state"),
+    ({"profile": 5}, "config.profile"),
+    ({"pricing": {"fog_price_ratio": "0.1"}}, "config.pricing.fog_price_ratio"),
+    ({"agent": {"epsilon_decay": None}}, "config.agent.epsilon_decay"),
+]
+
+
+@pytest.mark.parametrize("config, path", MISTYPED_CONFIGS, ids=[p for _, p in MISTYPED_CONFIGS])
+def test_cli_train_rejects_a_mistyped_config_before_writing(tmp_path, capsys, config, path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"episodes": 2, **config}))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: expected ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    ("requests_per_deployment", "20"),
+    ("requests_per_deployment", 20.5),
+    ("name", 3),
+    ("modules.0.compute_s", "fast"),
+    ("modules.0.pass_fraction", None),
+    ("modules.0.demand.cpu_units", "1"),
+])
+def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, path, value):
+    data = json.loads(json.dumps(profile_to_dict(fd_profile())))
+    *parents, last = path.split(".")
+    node = data
+    for key in parents:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[last] = value
+    profile_path = tmp_path / "mine.json"
+    profile_path.write_text(json.dumps(data))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"episodes": 2, "profile": str(profile_path)}))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    shown = path.replace(".0.", "[0].")
+    assert err.startswith(f"error: {profile_path}.{shown}: expected ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("network", None, 5, "malformed checkpoint ('network' is not an object)"),
+    ("config", "carry_next_state", "no", ".config.carry_next_state: expected true/false"),
+    ("config", "hidden_width", 24.0, ".config.hidden_width: expected an integer, got 24.0"),
+    ("schedule", "decays_done", "7", ".schedule.decays_done: expected an integer"),
+], ids=["network", "carry_next_state", "hidden_width", "decays_done"])
+def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys,
+                                                    section, key, value, message):
+    train_dir = tmp_path / "train"
+    assert main(["train", "--config", str(cli_config), "--out-dir", str(train_dir)]) == EXIT_OK
+    ckpt = train_dir / "checkpoint.json"
+    data = json.loads(ckpt.read_text())
+    if key is None:
+        data[section] = value
+    else:
+        data[section][key] = value
+    ckpt.write_text(json.dumps(data))
+    capsys.readouterr()
+    eval_dir = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cli_config), "--checkpoint", str(ckpt),
+                 "--out-dir", str(eval_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}") and message in err and err.count("\n") == 1
+    assert not eval_dir.exists()
+
+
+def test_cli_names_a_checkpoint_that_is_not_json(tmp_path, cli_config, capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text("")
+    assert main(["evaluate", "--config", str(cli_config), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "eval")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: checkpoint file {ckpt}: invalid JSON")
 
 
 def test_cli_evaluate_rejects_a_format_1_checkpoint(tmp_path, cli_config, capsys):

@@ -1,5 +1,4 @@
 """Cost and utility model tests with hand-computed expected values."""
-import math
 import random
 
 import pytest

@@ -1,16 +1,19 @@
-"""Profile definitions, calibration constants, and JSON round-trips."""
+"""Profile definitions, calibration constants, and typed JSON reading."""
+import dataclasses
 import json
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogdist.env import request_latency_breakdown
+from fogdist.harness import ExperimentConfig, config_from_dict
 from fogdist.model import PricingModel, ResourceUsage, deployment_cost
 from fogdist.profiles import (
     ApplicationProfile,
     ModuleProfile,
-    builtin_profiles,
     fd_profile,
-    get_profile,
     heavy_profile,
     ipokemon_profile,
     load_profile,
@@ -21,9 +24,10 @@ from fogdist.profiles import (
 
 
 def test_builtin_profiles_shapes():
-    fd, ipm = builtin_profiles()
+    fd, ipm, heavy = fd_profile(), ipokemon_profile(), heavy_profile()
     assert fd.name == "fd" and fd.n_modules == 3
     assert ipm.name == "ipokemon" and ipm.n_modules == 2
+    assert heavy.name == "heavy" and heavy.n_modules == 1
 
 
 def test_video_profile_calibration_constants():
@@ -78,11 +82,9 @@ def test_heavy_profile_cloud_plan_is_cheapest_everywhere():
 
 
 def test_get_profile_and_resolve():
-    assert get_profile("fd").name == "fd"
-    assert resolve_profile("heavy").name == "heavy"
-    with pytest.raises(ValueError):
-        get_profile("nope")
-    with pytest.raises(ValueError):
+    for factory in (fd_profile, ipokemon_profile, heavy_profile):
+        assert resolve_profile(factory().name) == factory()
+    with pytest.raises(ValueError, match="not a builtin"):
         resolve_profile("not-a-builtin")
 
 
@@ -110,8 +112,124 @@ def test_profile_from_dict_rejects_unknown_keys():
 def test_profile_from_dict_rejects_unknown_module_keys():
     data = profile_to_dict(fd_profile())
     data["modules"][0]["gpu"] = True
-    with pytest.raises(ValueError, match="gpu"):
+    with pytest.raises(ValueError, match=r"profile.modules\[0\]: unknown key\(s\) \['gpu'\]"):
         profile_from_dict(data)
+
+
+def test_missing_keys_take_the_dataclass_defaults():
+    profile = profile_from_dict({"name": "p", "modules": [{"name": "m"}]})
+    assert profile == ApplicationProfile(name="p", modules=(ModuleProfile(name="m"),))
+    assert (profile.raw_request_data, profile.requests_per_deployment) == (1.0, 20)
+    assert profile.modules[0].compute_s == 0.0
+    assert profile.modules[0].demand == ResourceUsage()
+    with pytest.raises(ValueError, match=r"profile.modules\[0\]: missing key\(s\) \['name'\]"):
+        profile_from_dict({"name": "p", "modules": [{}]})
+    with pytest.raises(ValueError, match=r"profile: missing key\(s\) \['modules'\]"):
+        profile_from_dict({"name": "p"})
+
+
+def test_a_record_check_is_prefixed_with_the_record_path():
+    data = profile_to_dict(fd_profile())
+    data["modules"][2]["demand"]["cpu_units"] = 9.0
+    with pytest.raises(ValueError, match=r"^my.json.modules\[2\].demand: .*cpu_units"):
+        profile_from_dict(json.loads(json.dumps(data)), where="my.json")
+
+
+@st.composite
+def application_profiles(draw):
+    """Valid profiles with every field drawn; module cpu demand sums to at most 8."""
+    seconds = st.floats(0.0, 1e3)
+    share = st.floats(0.0, 1.0, exclude_min=True)
+    modules = tuple(
+        ModuleProfile(
+            name=draw(st.text(min_size=1)), compute_s=draw(seconds), fog_extra_s=draw(seconds),
+            data_out_ratio=draw(share), pass_fraction=draw(share),
+            demand=ResourceUsage(draw(st.floats(0.0, 2.0)), draw(seconds), draw(seconds)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    return ApplicationProfile(
+        name=draw(st.text(min_size=1)), modules=modules,
+        raw_request_data=draw(st.floats(1e-6, 1e6)),
+        requests_per_deployment=draw(st.integers(1, 10_000)),
+        uplink_seconds_per_raw_unit=draw(seconds),
+        base_delay_fog_cloud_ms=draw(seconds), base_delay_dev_cloud_ms=draw(seconds),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=application_profiles())
+def test_profile_round_trips_through_json_text(profile):
+    assert profile_from_dict(json.loads(json.dumps(profile_to_dict(profile)))) == profile
+    assert profile_from_dict(profile_to_dict(profile)) == profile
+
+
+# -- every field is type-checked, generated from the dataclass fields ----------
+
+# Values of a JSON type each annotation must refuse.
+WRONG_JSON = {
+    int: ["7", 2.5, True, None],
+    float: ["0.5", True, None, [1.0]],
+    bool: ["no", 1, None],
+    str: [5, True, None],
+    int | None: ["7", 2.5, False],
+}
+
+
+def scalar_fields(cls, chain=()):
+    """(JSON key chain, annotation) of every scalar field of `cls`, recursively."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            yield from scalar_fields(kind, chain + (f.name,))
+        elif typing.get_origin(kind) is tuple:
+            yield from scalar_fields(typing.get_args(kind)[0], chain + (f.name, 0))
+        else:
+            yield chain + (f.name,), kind
+
+
+def config_fields():
+    """The config's scalar fields; the schedule's are the epsilon_* keys of "agent"."""
+    for chain, kind in scalar_fields(ExperimentConfig):
+        if chain[0] != "schedule":
+            yield chain, kind
+        elif chain[1] != "decays_done":       # run state, not a config key
+            yield ("agent", f"epsilon_{chain[1]}"), kind
+
+
+CASES = (
+    [("config", chain, kind) for chain, kind in config_fields()]
+    + [("my.json", chain, kind) for chain, kind in scalar_fields(ApplicationProfile)]
+)
+
+
+def json_path(root: str, chain) -> str:
+    return root + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in chain)
+
+
+@pytest.mark.parametrize("root, chain, kind", CASES, ids=[json_path(r, c) for r, c, _ in CASES])
+def test_every_mistyped_field_is_rejected_with_its_path(root, chain, kind):
+    read = config_from_dict if root == "config" else (lambda d: profile_from_dict(d, root))
+    base = {} if root == "config" else profile_to_dict(fd_profile())
+    for wrong in WRONG_JSON[kind]:
+        data = json.loads(json.dumps(base))
+        node = data
+        for key in chain[:-1]:
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+        node[chain[-1]] = wrong
+        with pytest.raises(ValueError) as raised:
+            read(data)
+        assert str(raised.value).startswith(f"{json_path(root, chain)}: expected "), wrong
+
+
+def test_the_generated_cases_cover_every_section():
+    covered = {json_path(root, chain) for root, chain, _ in CASES}
+    assert {"config.profile", "config.episodes", "config.pricing.vm_hourly",
+            "config.weights.qos_weight", "config.agent.carry_next_state",
+            "config.agent.epsilon_decay", "my.json.requests_per_deployment",
+            "my.json.modules[0].compute_s", "my.json.modules[0].demand.cpu_units"} <= covered
+    assert "config.agent.epsilon_decays_done" not in covered
 
 
 def test_module_validation():
