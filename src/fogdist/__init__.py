@@ -27,11 +27,9 @@ from .profiles import (
 )
 from .env import (
     FogEnvironment,
-    FogNodeState,
     SimClock,
     StressProcess,
     contended_time,
-    normalize_state,
     request_latency_breakdown,
     transmission_time,
 )

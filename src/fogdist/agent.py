@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .env import FogEnvironment, SimClock
+from .env import STATE_FACTORS, FogEnvironment, SimClock
 from .model import (
     DeploymentOutcome,
     PricingModel,
@@ -35,7 +34,6 @@ from .seeding import derive_seed
 
 CHECKPOINT_FORMAT_VERSION = 2
 DEPLOYMENTS_PER_EPISODE = 20
-STATE_DIM = 19
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ class DQNAgent:
         self.schedule = schedule or EpsilonSchedule()
         self.n_actions = n_actions
         arch = NetworkArchitecture(
-            input_dim=STATE_DIM,
+            input_dim=len(STATE_FACTORS),
             hidden_layers=self.config.hidden_layers,
             hidden_width=self.config.hidden_width,
             output_dim=n_actions,
@@ -288,15 +286,12 @@ def simulate_episode(
     if deployments < 1:
         raise ValueError("deployments must be >= 1")
     clock = SimClock()
-    state = env.observe_normalized(clock)
+    state = env.observe(clock)
     outcomes = []
     for j in range(1, deployments + 1):
-        t0 = time.perf_counter()
-        k = strategy.select_k(state, rng)
-        decision_ms = (time.perf_counter() - t0) * 1000.0
-        outcome = replace(env.execute(k, clock), decision_latency_ms=decision_ms)
+        outcome = env.execute(strategy.select_k(state, rng), clock)
         outcomes.append(outcome)
-        next_state = env.observe_normalized(clock)
+        next_state = env.observe(clock)
         if after_deployment is None:
             state = next_state
         else:
@@ -418,9 +413,16 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
     schedule = record_from_dict(EpsilonSchedule, data["schedule"], f"{path}.schedule")
     try:
         agent = DQNAgent(n_actions=data["n_actions"], config=config, schedule=schedule)
-        agent.network = QNetwork.from_dict(data["network"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint ({exc!r})") from None
+    expected = agent.network.architecture
+    agent.network = QNetwork.from_dict(data["network"], f"{path}.network")
+    if agent.network.architecture != expected:
+        raise ValueError(
+            f"{path}.network.architecture: expected {asdict(expected)} for "
+            f"{len(STATE_FACTORS)} state factors, {agent.n_actions} plans and the "
+            f"checkpoint's config, got {asdict(agent.network.architecture)}"
+        )
     meta = {
         "profile_name": data.get("profile_name"),
         "provenance": data.get("provenance", {}),

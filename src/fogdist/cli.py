@@ -96,17 +96,20 @@ def _config_from_args(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _parse_weight_grid(raw: list[str] | None):
-    if raw is None:
-        return None
-    pairs = []
-    for item in raw:
+def _parse_grid(flag: str, items, parse) -> list:
+    """Each item parsed; a ValueError names the flag and the bad item."""
+    values = []
+    for item in items:
         try:
-            qos_text, cost_text = item.split(":")
-            pairs.append(UtilityWeights(qos_weight=float(qos_text), cost_weight=float(cost_text)))
+            values.append(parse(item))
         except ValueError as exc:
-            raise ValueError(f"--weights {item!r}: {exc}") from None
-    return pairs
+            raise ValueError(f"{flag} {item!r}: {exc}") from None
+    return values
+
+
+def _weights(item: str) -> UtilityWeights:
+    qos_text, cost_text = item.split(":")
+    return UtilityWeights(qos_weight=float(qos_text), cost_weight=float(cost_text))
 
 
 def main(argv=None) -> int:
@@ -131,8 +134,9 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             cfg = _config_from_args(args)
-            ratios = [float(r) for r in args.ratios.split(",") if r]
-            weight_grid = _parse_weight_grid(args.weights)
+            ratios = _parse_grid("--ratios", [r for r in args.ratios.split(",") if r], float)
+            weight_grid = None if args.weights is None else \
+                _parse_grid("--weights", args.weights, _weights)
             artifacts = cmd_sweep(
                 cfg, args.out_dir, ratio_grid=ratios, weight_grid=weight_grid,
                 checkpoint=args.checkpoint,

@@ -12,8 +12,8 @@ applied in expectation: a stage that forwards 60% of requests contributes
 60% of its downstream times and traffic per request, which keeps outcomes
 deterministic for a given stress trajectory.  Fog-hosted stages slow down
 when their CPU demand exceeds the units left free by the stress load; Cloud
-stages never contend.  All time is simulated; only the decision latency of
-the agent is measured on the wall clock.
+stages never contend.  All time is simulated: nothing here reads the wall
+clock, so a deployment's outcome depends only on the seed and the plans.
 """
 from __future__ import annotations
 
@@ -45,39 +45,37 @@ IO_BLOCK_BYTES = 4096
 # A fog stage never sees less than a quarter unit, so contention stays finite.
 AVAILABILITY_FLOOR = 0.25
 
-STATE_FACTORS = (
-    "cpu_util", "cpu_count", "cpu_freq",
-    "mem_total", "mem_used", "swap_total", "swap_used",
-    "disk_total", "disk_used",
-    "io_reads", "io_writes", "io_read_bytes", "io_write_bytes",
-    "net_bytes_sent", "net_bytes_recv", "net_pkts_sent", "net_pkts_recv",
-    "delay_fog_cloud", "delay_dev_cloud",
-)
-
-# Fixed min-max caps used to squash each factor into [0, 1] before it
-# reaches the value network.  Counters saturate at the cap.
-STATE_CAPS: dict[str, float] = {
-    "cpu_util": 1.0,
-    "cpu_count": 8.0,
-    "cpu_freq": 2000.0,
-    "mem_total": 4.0,
-    "mem_used": 4.0,
-    "swap_total": 2.0,
-    "swap_used": 2.0,
-    "disk_total": 64.0,
-    "disk_used": 64.0,
-    "io_reads": 5e6,
-    "io_writes": 5e6,
-    "io_read_bytes": 5e10,
-    "io_write_bytes": 5e10,
-    "net_bytes_sent": 5e10,
-    "net_bytes_recv": 5e10,
-    "net_pkts_sent": 5e7,
-    "net_pkts_recv": 5e7,
-    "delay_fog_cloud": 500.0,   # ms
-    "delay_dev_cloud": 500.0,   # ms
+# The node's 19 monitored factors in observation-vector order, each with
+# the fixed min-max cap that squashes it into [0, 1] before it reaches the
+# value network (counters saturate at the cap) and its value on a board
+# that is not freshly booted.  `observe` samples the factors booted at 0 and
+# the link delays, which start at the profile's base delays.
+_FACTORS: dict[str, tuple[float, float]] = {
+    "cpu_util": (1.0, 0.0),                     # fraction of units occupied
+    "cpu_count": (8.0, float(CAPACITY_UNITS)),
+    "cpu_freq": (2000.0, CPU_FREQ_MHZ),         # MHz
+    "mem_total": (4.0, MEM_TOTAL_GB),           # GB
+    "mem_used": (4.0, 0.0),
+    "swap_total": (2.0, SWAP_TOTAL_GB),
+    "swap_used": (2.0, 0.0),
+    "disk_total": (64.0, DISK_TOTAL_GB),
+    "disk_used": (64.0, 0.0),
+    "io_reads": (5e6, 25_000.0),                # cumulative ops
+    "io_writes": (5e6, 18_000.0),
+    "io_read_bytes": (5e10, 90e6),              # cumulative bytes
+    "io_write_bytes": (5e10, 60e6),
+    "net_bytes_sent": (5e10, 40e6),
+    "net_bytes_recv": (5e10, 55e6),
+    "net_pkts_sent": (5e7, 30_000.0),
+    "net_pkts_recv": (5e7, 42_000.0),
+    "delay_fog_cloud": (500.0, 0.0),            # ms
+    "delay_dev_cloud": (500.0, 0.0),            # ms
 }
-_CAP_VECTOR = np.array([STATE_CAPS[f] for f in STATE_FACTORS], dtype=np.float64)
+STATE_CAPS: dict[str, float] = {name: cap for name, (cap, _boot) in _FACTORS.items()}
+STATE_FACTORS = tuple(STATE_CAPS)
+_CAP_VECTOR = np.array(tuple(STATE_CAPS.values()), dtype=np.float64)
+_BOOT_STATE = np.array([boot for _cap, boot in _FACTORS.values()], dtype=np.float64)
+_SLOT = {name: i for i, name in enumerate(STATE_FACTORS)}
 
 
 @dataclass
@@ -95,13 +93,16 @@ class SimClock:
 class StressProcess:
     """Piecewise-constant background load on the Fog node.
 
-    The load of interval i is the i-th draw from a seeded uniform{0..7}
-    stream, so the trajectory is a pure function of (seed, simulated time)
-    no matter how advancement is chunked.
+    The load is always draw number ``int(elapsed_s / 10)`` of a seeded
+    uniform{0..7} stream, draw 0 being interval 0's, so it is a pure
+    function of the seed and ``elapsed_s``.  ``elapsed_s`` is the float sum
+    of the advances, so two processes advanced by the same steps agree, but
+    chunking the same span differently can round the sum across a boundary:
+    100 advances of 0.1 s reach 9.99999999999998 s, still interval 0, while
+    one advance of 10 s reaches interval 1.
     """
 
     def __init__(self, seed: int):
-        self.seed = seed
         self.elapsed_s = 0.0
         self._rng = random.Random(seed)
         self.load = self._rng.randrange(CAPACITY_UNITS)  # interval 0
@@ -215,69 +216,30 @@ def request_latency_breakdown(
     )
 
 
-@dataclass(frozen=True)
-class FogNodeState:
-    """The 19 monitored factors of the Fog node."""
-
-    cpu_util: float          # fraction of units occupied
-    cpu_count: float
-    cpu_freq: float          # MHz
-    mem_total: float         # GB
-    mem_used: float          # GB
-    swap_total: float        # GB
-    swap_used: float         # GB
-    disk_total: float        # GB
-    disk_used: float         # GB
-    io_reads: float          # cumulative ops
-    io_writes: float
-    io_read_bytes: float     # cumulative bytes
-    io_write_bytes: float
-    net_bytes_sent: float
-    net_bytes_recv: float
-    net_pkts_sent: float
-    net_pkts_recv: float
-    delay_fog_cloud: float   # ms
-    delay_dev_cloud: float   # ms
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in STATE_FACTORS], dtype=np.float64)
-
-
-def normalize_state(state: FogNodeState) -> np.ndarray:
-    """Min-max squash each factor into [0, 1] using the fixed caps."""
-    return np.clip(state.as_vector() / _CAP_VECTOR, 0.0, 1.0)
-
-
 class FogEnvironment:
     """One Fog node plus its Cloud VM, driven by a simulated clock.
 
     With the same seed, the stress trajectory, sensor jitter, and deployment
     outcomes are fully reproducible; the stress level evolves with simulated
     time only, never with the agent's choices.
+
+    ``raw_state`` holds the node's 19 factors, unscaled and in
+    ``STATE_FACTORS`` order: ``observe`` refreshes the sampled ones,
+    ``execute`` grows the counters and reads its propagation delays from
+    the last delay samples.
     """
 
     def __init__(self, profile: ApplicationProfile, seed: int = 0, stressed: bool = True):
         self.profile = profile
-        self.seed = seed
         self.stressed = stressed
         self.stress = StressProcess(derive_seed(seed, "stress"))
         self._sensor_rng = random.Random(derive_seed(seed, "sensor"))
-        self._deployed_modules = 0            # leading modules currently on the node
-        # Delay samples used both in the observed state and for the next
-        # deployment's propagation terms.
-        self._delay_fog_cloud_ms = profile.base_delay_fog_cloud_ms
-        self._delay_dev_cloud_ms = profile.base_delay_dev_cloud_ms
-        # Counter baselines: the board is not freshly booted.
-        self._counters = {
-            "io_reads": 25_000.0,
-            "io_writes": 18_000.0,
-            "io_read_bytes": 90e6,
-            "io_write_bytes": 60e6,
-            "net_bytes_sent": 40e6,
-            "net_bytes_recv": 55e6,
-            "net_pkts_sent": 30_000.0,
-            "net_pkts_recv": 42_000.0,
-        }
+        # Memory and storage demand of the modules currently on the node.
+        self._deployed_mem_gb = 0.0
+        self._deployed_storage_gb = 0.0
+        self.raw_state = _BOOT_STATE.copy()
+        self.raw_state[_SLOT["delay_fog_cloud"]] = profile.base_delay_fog_cloud_ms
+        self.raw_state[_SLOT["delay_dev_cloud"]] = profile.base_delay_dev_cloud_ms
 
     # -- internals ---------------------------------------------------------
 
@@ -291,53 +253,25 @@ class FogEnvironment:
     def _load(self) -> int:
         return self.stress.load if self.stressed else 0
 
-    def _deployed_demand(self) -> ResourceUsage:
-        k = self._deployed_modules
-        mods = self.profile.modules[:k]
-        return ResourceUsage(
-            cpu_units=min(MAX_CPU_UNITS, sum(m.demand.cpu_units for m in mods)),
-            mem_gb=sum(m.demand.mem_gb for m in mods),
-            storage_gb=sum(m.demand.storage_gb for m in mods),
-        )
-
     # -- public API --------------------------------------------------------
 
-    def observe(self, clock: SimClock) -> FogNodeState:
-        """Sample the node's 19 factors at the clock's current time."""
+    def observe(self, clock: SimClock) -> np.ndarray:
+        """Sample the node at the clock's current time; returns the normalized
+        state: each factor divided by its cap and clipped to [0, 1]."""
         self._sync(clock.now)
         load = self._load()
-        demand = self._deployed_demand()
-        mem_claim = UNIT_MEM_GB * load + demand.mem_gb
-        mem_used = min(MEM_TOTAL_GB, mem_claim)
-        swap_used = min(SWAP_TOTAL_GB, max(0.0, mem_claim - MEM_TOTAL_GB))
-        disk_used = min(DISK_TOTAL_GB, DISK_BASE_GB + demand.storage_gb + 0.1 * load)
-        # Link delays wobble around their base value between observations.
-        self._delay_fog_cloud_ms = self.profile.base_delay_fog_cloud_ms * self._sensor_rng.uniform(0.9, 1.1)
-        self._delay_dev_cloud_ms = self.profile.base_delay_dev_cloud_ms * self._sensor_rng.uniform(0.9, 1.1)
-        return FogNodeState(
-            cpu_util=load / CAPACITY_UNITS,
-            cpu_count=float(CAPACITY_UNITS),
-            cpu_freq=CPU_FREQ_MHZ,
-            mem_total=MEM_TOTAL_GB,
-            mem_used=mem_used,
-            swap_total=SWAP_TOTAL_GB,
-            swap_used=swap_used,
-            disk_total=DISK_TOTAL_GB,
-            disk_used=disk_used,
-            io_reads=self._counters["io_reads"],
-            io_writes=self._counters["io_writes"],
-            io_read_bytes=self._counters["io_read_bytes"],
-            io_write_bytes=self._counters["io_write_bytes"],
-            net_bytes_sent=self._counters["net_bytes_sent"],
-            net_bytes_recv=self._counters["net_bytes_recv"],
-            net_pkts_sent=self._counters["net_pkts_sent"],
-            net_pkts_recv=self._counters["net_pkts_recv"],
-            delay_fog_cloud=self._delay_fog_cloud_ms,
-            delay_dev_cloud=self._delay_dev_cloud_ms,
+        raw = self.raw_state
+        mem_claim = UNIT_MEM_GB * load + self._deployed_mem_gb
+        raw[_SLOT["cpu_util"]] = load / CAPACITY_UNITS
+        raw[_SLOT["mem_used"]] = min(MEM_TOTAL_GB, mem_claim)
+        raw[_SLOT["swap_used"]] = min(SWAP_TOTAL_GB, max(0.0, mem_claim - MEM_TOTAL_GB))
+        raw[_SLOT["disk_used"]] = min(
+            DISK_TOTAL_GB, DISK_BASE_GB + self._deployed_storage_gb + 0.1 * load
         )
-
-    def observe_normalized(self, clock: SimClock) -> np.ndarray:
-        return normalize_state(self.observe(clock))
+        # Link delays wobble around their base value between observations.
+        raw[_SLOT["delay_fog_cloud"]] = self.profile.base_delay_fog_cloud_ms * self._sensor_rng.uniform(0.9, 1.1)
+        raw[_SLOT["delay_dev_cloud"]] = self.profile.base_delay_dev_cloud_ms * self._sensor_rng.uniform(0.9, 1.1)
+        return np.clip(raw / _CAP_VECTOR, 0.0, 1.0)
 
     def execute(self, fog_modules: int, clock: SimClock) -> DeploymentOutcome:
         """Deploy a plan, stream all requests through it, advance the clock.
@@ -350,8 +284,8 @@ class FogEnvironment:
         if not 0 <= k <= profile.n_modules:
             raise ValueError(f"fog_modules must lie in [0, {profile.n_modules}], got {k!r}")
         requests = profile.requests_per_deployment
-        fog_cloud_s = self._delay_fog_cloud_ms / 1000.0
-        dev_cloud_s = self._delay_dev_cloud_ms / 1000.0
+        fog_cloud_s = float(self.raw_state[_SLOT["delay_fog_cloud"]]) / 1000.0
+        dev_cloud_s = float(self.raw_state[_SLOT["delay_dev_cloud"]]) / 1000.0
 
         started = clock.now
         busy: dict[str, float] = {m.name: 0.0 for m in profile.modules[:k]}
@@ -384,7 +318,8 @@ class FogEnvironment:
             )
 
         self._account_traffic(k, requests, uplink_units)
-        self._deployed_modules = k
+        self._deployed_mem_gb = sum(m.demand.mem_gb for m in profile.modules[:k])
+        self._deployed_storage_gb = sum(m.demand.storage_gb for m in profile.modules[:k])
         return DeploymentOutcome(
             fog_modules=k,
             duration_s=duration_s,
@@ -402,11 +337,12 @@ class FogEnvironment:
         noise = self._sensor_rng.uniform(1.0, 1.05)
         inbound = requests * self.profile.raw_request_data * BYTES_PER_DATA_UNIT if k > 0 else 0.0
         outbound = uplink_units * BYTES_PER_DATA_UNIT if k > 0 else 0.0
-        self._counters["net_bytes_recv"] += inbound * noise
-        self._counters["net_bytes_sent"] += outbound * noise
-        self._counters["net_pkts_recv"] += (inbound / PACKET_BYTES + requests) * noise
-        self._counters["net_pkts_sent"] += (outbound / PACKET_BYTES + requests) * noise
-        self._counters["io_read_bytes"] += inbound * noise
-        self._counters["io_write_bytes"] += outbound * noise
-        self._counters["io_reads"] += (inbound / IO_BLOCK_BYTES) * noise
-        self._counters["io_writes"] += (outbound / IO_BLOCK_BYTES) * noise
+        raw = self.raw_state
+        raw[_SLOT["net_bytes_recv"]] += inbound * noise
+        raw[_SLOT["net_bytes_sent"]] += outbound * noise
+        raw[_SLOT["net_pkts_recv"]] += (inbound / PACKET_BYTES + requests) * noise
+        raw[_SLOT["net_pkts_sent"]] += (outbound / PACKET_BYTES + requests) * noise
+        raw[_SLOT["io_read_bytes"]] += inbound * noise
+        raw[_SLOT["io_write_bytes"]] += outbound * noise
+        raw[_SLOT["io_reads"]] += (inbound / IO_BLOCK_BYTES) * noise
+        raw[_SLOT["io_writes"]] += (outbound / IO_BLOCK_BYTES) * noise

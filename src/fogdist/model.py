@@ -103,7 +103,6 @@ class DeploymentOutcome:
     duration_s: float
     requests: int
     usage: ResourceUsage
-    decision_latency_ms: float = 0.0
 
     def __post_init__(self):
         if self.fog_modules < 0:
@@ -112,8 +111,6 @@ class DeploymentOutcome:
             raise ValueError(f"outcome.duration_s: must be > 0, got {self.duration_s!r}")
         if self.requests < 1:
             raise ValueError(f"outcome.requests: must be >= 1, got {self.requests!r}")
-        if self.decision_latency_ms < 0:
-            raise ValueError("outcome.decision_latency_ms: must be >= 0")
 
 
 def cloud_cost(pricing: PricingModel, duration_hours: float) -> float:

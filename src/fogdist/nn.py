@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .profiles import record_from_dict
+
 NETWORK_FORMAT_VERSION = 1
 
 
@@ -134,12 +136,21 @@ class QNetwork:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "QNetwork":
+    def from_dict(cls, data: dict, where: str = "network") -> "QNetwork":
+        """Rebuild a network from `to_dict` output, with a type-checked
+        architecture and finite parameters of the matching shapes.  Every
+        error is a ValueError naming ``where``."""
         if data.get("format_version") != NETWORK_FORMAT_VERSION:
             raise ValueError(
-                f"unsupported network format version {data.get('format_version')!r}"
+                f"{where}: unsupported network format version {data.get('format_version')!r}"
             )
-        arch = NetworkArchitecture(**data["architecture"])
-        weights = [np.array(w, dtype=np.float64) for w in data["weights"]]
-        biases = [np.array(b, dtype=np.float64) for b in data["biases"]]
-        return cls(arch, weights, biases)
+        arch = record_from_dict(NetworkArchitecture, data.get("architecture"), f"{where}.architecture")
+        try:
+            weights = [np.array(w, dtype=np.float64) for w in data["weights"]]
+            biases = [np.array(b, dtype=np.float64) for b in data["biases"]]
+            network = cls(arch, weights, biases)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed parameters ({exc})") from None
+        if not all(np.isfinite(p).all() for p in weights + biases):
+            raise ValueError(f"{where}: weights and biases must be finite")
+        return network

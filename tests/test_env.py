@@ -1,33 +1,42 @@
 """Environment tests: stress process, latency laws, observation, deployments."""
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fogdist.agent import StaticStrategy, simulate_episode
 from fogdist.env import (
     CAPACITY_UNITS,
     STATE_CAPS,
     STATE_FACTORS,
+    STRESS_RESAMPLE_S,
     FogEnvironment,
-    FogNodeState,
     SimClock,
     StressProcess,
     contended_time,
-    normalize_state,
     request_latency_breakdown,
     transmission_time,
 )
 from fogdist.profiles import fd_profile, heavy_profile, ipokemon_profile
 
 
-def assert_valid_state(state: FogNodeState) -> None:
-    """The invariants every observed node state must hold."""
-    vec = state.as_vector()
-    assert vec.shape == (len(STATE_FACTORS),) and np.all(np.isfinite(vec))
-    assert 0.0 <= state.cpu_util <= 1.0
-    assert state.mem_used <= state.mem_total and state.swap_used <= state.swap_total
-    assert state.disk_used <= state.disk_total
-    assert np.all(vec >= 0)
+def factor(vector: np.ndarray, name: str) -> float:
+    """One factor of a raw or normalized state vector, by name."""
+    return vector[STATE_FACTORS.index(name)]
+
+
+def assert_valid_state(raw: np.ndarray) -> None:
+    """The invariants every raw node state must hold."""
+    assert raw.shape == (len(STATE_FACTORS),) and np.all(np.isfinite(raw))
+    assert 0.0 <= factor(raw, "cpu_util") <= 1.0
+    assert factor(raw, "mem_used") <= factor(raw, "mem_total")
+    assert factor(raw, "swap_used") <= factor(raw, "swap_total")
+    assert factor(raw, "disk_used") <= factor(raw, "disk_total")
+    assert np.all(raw >= 0)
 
 
 # -- stress process ----------------------------------------------------------
@@ -48,7 +57,7 @@ def test_stress_holds_between_boundaries():
 
 
 def test_stress_resamples_on_each_boundary():
-    """Interval i's load is the i-th draw, however advancement is chunked."""
+    """Interval i's load is the i-th draw, in 10 s steps or in random chunks."""
     a = StressProcess(17)
     b = StressProcess(17)
     loads_a = [a.load]
@@ -87,6 +96,33 @@ def test_stress_mean_is_uniform_over_units():
         p.advance(10.0)
         loads.append(p.load)
     assert 3.3 <= np.mean(loads) <= 3.7
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    steps=st.lists(st.floats(min_value=0.0, max_value=35.0), max_size=40),
+)
+def test_stress_load_is_the_draw_of_the_elapsed_interval(seed, steps):
+    process = StressProcess(seed)
+    draws = random.Random(seed)
+    loads = [draws.randrange(CAPACITY_UNITS)]
+    for dt in steps:
+        process.advance(dt)
+        interval = int(process.elapsed_s / STRESS_RESAMPLE_S)
+        while len(loads) <= interval:
+            loads.append(draws.randrange(CAPACITY_UNITS))
+        assert process.load == loads[interval]
+
+
+def test_stress_chunking_can_round_across_a_boundary():
+    """The same 10 s in 100 steps of 0.1 s sums to just under the boundary."""
+    chunked, whole = StressProcess(1), StressProcess(1)
+    for _ in range(100):
+        chunked.advance(0.1)
+    whole.advance(10.0)
+    assert (chunked.elapsed_s, chunked.load) == (9.99999999999998, 2)   # interval 0
+    assert (whole.elapsed_s, whole.load) == (10.0, 1)                   # interval 1
 
 
 def test_stress_rejects_backward_time():
@@ -168,11 +204,11 @@ def test_breakdown_rejects_bad_plan():
 
 def test_observe_unstressed_node_is_idle():
     env = FogEnvironment(fd_profile(), seed=1, stressed=False)
-    state = env.observe(SimClock())
-    assert_valid_state(state)
-    assert state.cpu_util == 0.0
-    assert state.cpu_count == 8.0
-    assert state.mem_used == 0.0  # nothing deployed yet
+    env.observe(SimClock())
+    assert_valid_state(env.raw_state)
+    assert factor(env.raw_state, "cpu_util") == 0.0
+    assert factor(env.raw_state, "cpu_count") == 8.0
+    assert factor(env.raw_state, "mem_used") == 0.0  # nothing deployed yet
 
 
 def test_observe_cpu_util_is_load_over_capacity():
@@ -180,7 +216,7 @@ def test_observe_cpu_util_is_load_over_capacity():
     clock = SimClock()
     for _ in range(30):
         state = env.observe(clock)
-        assert state.cpu_util == env.stress.load / CAPACITY_UNITS
+        assert factor(state, "cpu_util") == env.stress.load / CAPACITY_UNITS
         clock.advance(10.0)
 
 
@@ -190,9 +226,9 @@ def test_observe_memory_tracks_stress_and_deployment():
     env = FogEnvironment(prof, seed=2, stressed=False)
     clock = SimClock()
     env.execute(3, clock)
-    state = env.observe(clock)
+    env.observe(clock)
     deployed_mem = sum(m.demand.mem_gb for m in prof.modules)  # 0.1+0.1+0.5
-    assert state.mem_used == pytest.approx(deployed_mem, rel=1e-12)
+    assert factor(env.raw_state, "mem_used") == pytest.approx(deployed_mem, rel=1e-12)
 
 
 def test_observe_memory_never_exceeds_totals():
@@ -200,24 +236,36 @@ def test_observe_memory_never_exceeds_totals():
     clock = SimClock()
     env.execute(3, clock)
     for _ in range(100):
-        state = env.observe(clock)
-        assert_valid_state(state)
-        assert state.mem_used <= state.mem_total
-        assert state.swap_used <= state.swap_total
+        env.observe(clock)
+        assert_valid_state(env.raw_state)
         clock.advance(10.0)
 
 
-def test_counters_are_monotone_within_an_experiment():
-    env = FogEnvironment(fd_profile(), seed=8)
+_COUNTERS = [STATE_FACTORS.index(f) for f in STATE_FACTORS if f.startswith(("io_", "net_"))]
+_CONSTANTS = [STATE_FACTORS.index(f) for f in ("cpu_count", "cpu_freq", "mem_total",
+                                                "swap_total", "disk_total")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    plans=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+)
+def test_counters_are_monotone_within_an_experiment(seed, plans):
+    """Counters never decrease, constants never change, every factor lies in [0, 1]."""
+    env = FogEnvironment(fd_profile(), seed=seed)
     clock = SimClock()
-    counter_fields = [f for f in STATE_FACTORS if f.startswith(("io_", "net_"))]
-    previous = env.observe(clock)
-    for k in (0, 1, 2, 3, 3, 2, 1, 0):
+    env.observe(clock)
+    previous = env.raw_state.copy()
+    for k in plans:
         env.execute(k, clock)
-        current = env.observe(clock)
-        for field in counter_fields:
-            assert getattr(current, field) >= getattr(previous, field)
-        previous = current
+        state = env.observe(clock)
+        raw = env.raw_state
+        assert np.all(raw[_COUNTERS] >= previous[_COUNTERS])
+        assert raw[_CONSTANTS].tolist() == previous[_CONSTANTS].tolist()
+        assert np.all((state >= 0.0) & (state <= 1.0))
+        assert_valid_state(raw)
+        previous = raw.copy()
 
 
 def test_observe_delays_jitter_around_base():
@@ -225,9 +273,11 @@ def test_observe_delays_jitter_around_base():
     env = FogEnvironment(prof, seed=4)
     clock = SimClock()
     for _ in range(50):
-        state = env.observe(clock)
-        assert 0.9 * prof.base_delay_fog_cloud_ms <= state.delay_fog_cloud <= 1.1 * prof.base_delay_fog_cloud_ms
-        assert 0.9 * prof.base_delay_dev_cloud_ms <= state.delay_dev_cloud <= 1.1 * prof.base_delay_dev_cloud_ms
+        env.observe(clock)
+        fog_cloud = factor(env.raw_state, "delay_fog_cloud")
+        dev_cloud = factor(env.raw_state, "delay_dev_cloud")
+        assert 0.9 * prof.base_delay_fog_cloud_ms <= fog_cloud <= 1.1 * prof.base_delay_fog_cloud_ms
+        assert 0.9 * prof.base_delay_dev_cloud_ms <= dev_cloud <= 1.1 * prof.base_delay_dev_cloud_ms
         clock.advance(1.0)
 
 
@@ -235,14 +285,45 @@ def test_normalize_state_is_unit_interval():
     env = FogEnvironment(fd_profile(), seed=5)
     clock = SimClock()
     env.execute(3, clock)
-    vec = env.observe_normalized(clock)
+    vec = env.observe(clock)
     assert vec.shape == (19,)
     assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
-    assert set(STATE_CAPS) == set(STATE_FACTORS)
+    assert STATE_FACTORS == tuple(STATE_CAPS)
     # each factor is divided by its own cap
-    state = env.observe(clock)
-    expected = [min(1.0, getattr(state, f) / STATE_CAPS[f]) for f in STATE_FACTORS]
-    assert normalize_state(state).tolist() == expected
+    expected = [min(1.0, factor(env.raw_state, f) / STATE_CAPS[f]) for f in STATE_FACTORS]
+    assert vec.tolist() == expected
+
+
+class _RecordingStatic(StaticStrategy):
+    """A static plan that keeps every state it decides on."""
+
+    def __init__(self, fog_modules: int):
+        super().__init__(fog_modules)
+        self.seen = []
+
+    def select_k(self, state_vec, rng):
+        self.seen.append(state_vec.tolist())
+        return super().select_k(state_vec, rng)
+
+
+@pytest.mark.parametrize("profile, digest", [
+    (fd_profile(), "04b02dcf51fa3c55028758c4abd57a942d9ce92d7195c24597e7c7c0be33fc38"),
+    (ipokemon_profile(), "2274edd4ac9be6cbb0241f3b7a17477d6641417818d57b8192e7529d9f19532e"),
+    (heavy_profile(), "846872e186cf5a45a95326a28f215b3c7b0fefc96ba9aa8f50fc61b447ec7413"),
+], ids=["fd", "ipokemon", "heavy"])
+def test_static_episodes_observe_and_deploy_the_pinned_stream(profile, digest):
+    """Every static plan, one seeded episode each: the observed vectors and the
+    outcomes hash to the values the simulator has produced since they were pinned."""
+    record = []
+    for k in range(profile.n_modules + 1):
+        strategy = _RecordingStatic(k)
+        outcomes = simulate_episode(FogEnvironment(profile, seed=2026), strategy, random.Random(0))
+        record.append([strategy.seen, [
+            [o.fog_modules, o.duration_s, o.requests,
+             o.usage.cpu_units, o.usage.mem_gb, o.usage.storage_gb]
+            for o in outcomes
+        ]])
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
 
 
 # -- deployments -------------------------------------------------------------
@@ -285,11 +366,11 @@ def test_execute_duration_matches_breakdown_when_unstressed():
     prof = fd_profile()
     env = FogEnvironment(prof, seed=9, stressed=False)
     clock = SimClock()
-    state = env.observe(clock)  # fixes the delay samples used by the deployment
+    env.observe(clock)  # fixes the delay samples used by the deployment
     b = request_latency_breakdown(
         prof, 2,
-        fog_cloud_delay_s=state.delay_fog_cloud / 1000.0,
-        dev_cloud_delay_s=state.delay_dev_cloud / 1000.0,
+        fog_cloud_delay_s=factor(env.raw_state, "delay_fog_cloud") / 1000.0,
+        dev_cloud_delay_s=factor(env.raw_state, "delay_dev_cloud") / 1000.0,
     )
     outcome = env.execute(2, clock)
     assert outcome.duration_s == pytest.approx(20 * b.total_s, rel=1e-9)
@@ -312,7 +393,7 @@ def test_stress_trajectory_ignores_actions():
         env_b.execute(3, clock_b)  # several short ones
     # bring B to A's simulated time and compare the observed load
     clock_b.advance(clock_a.now - clock_b.now)
-    assert env_a.observe(clock_a).cpu_util == env_b.observe(clock_b).cpu_util
+    assert factor(env_a.observe(clock_a), "cpu_util") == factor(env_b.observe(clock_b), "cpu_util")
 
 
 def test_stressed_deployments_take_longer_on_busy_nodes():

@@ -230,11 +230,6 @@ def _non_learning_strategies(profile):
     return {**static_strategies(profile), "context-aware": GreedyNetworkStrategy(net)}
 
 
-def _simulated(records):
-    """The outcomes of scored deployments, without the wall-clock decision latency."""
-    return [dataclasses.replace(r.outcome, decision_latency_ms=0.0) for r in records]
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     ratio=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
@@ -266,8 +261,8 @@ def test_outcomes_do_not_depend_on_the_cell_and_shared_scoring_is_exact(
             alone = separate_run(name, index, *cell)
             at_default = separate_run(name, index, *default_cell)
             scored = shared[1][name][index]
-            assert _simulated(alone.records) == _simulated(at_default.records)
-            assert _simulated(scored.records) == _simulated(alone.records)
+            assert [r.outcome for r in alone.records] == [r.outcome for r in at_default.records]
+            assert [r.outcome for r in scored.records] == [r.outcome for r in alone.records]
             assert [(r.cost, r.utility) for r in scored.records] == \
                 [(r.cost, r.utility) for r in alone.records]
             assert scored.utility == alone.utility
@@ -520,6 +515,16 @@ def test_cli_sweep_rejects_repeated_grid_entries(tmp_path, cli_config, capsys, g
     assert not out_dir.exists()
 
 
+def test_cli_sweep_names_the_flag_of_a_bad_ratio(tmp_path, cli_config, capsys):
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cli_config), "--out-dir", str(out_dir),
+                 "--ratios", "0.1,x"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ratios 'x': ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_cli_overrides_reach_the_config(tmp_path, cli_config):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -591,12 +596,30 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
     assert not out_dir.exists()
 
 
+def _fd_network(**arch) -> dict:
+    """A well-formed serialised network with fd's sizes, some overridden."""
+    sizes = {"input_dim": 19, "output_dim": fd_profile().n_modules + 1, **arch}
+    return QNetwork.initialize(NetworkArchitecture(**sizes), seed=0).to_dict()
+
+
 @pytest.mark.parametrize("section, key, value, message", [
     ("network", None, 5, "malformed checkpoint ('network' is not an object)"),
     ("config", "carry_next_state", "no", ".config.carry_next_state: expected true/false"),
     ("config", "hidden_width", 24.0, ".config.hidden_width: expected an integer, got 24.0"),
     ("schedule", "decays_done", "7", ".schedule.decays_done: expected an integer"),
-], ids=["network", "carry_next_state", "hidden_width", "decays_done"])
+    ("network", "architecture.hidden_width", 24.0,
+     ".network.architecture.hidden_width: expected an integer, got 24.0"),
+    ("network", None, _fd_network(input_dim=18),
+     ".network.architecture: expected {'input_dim': 19, "),
+    ("network", None, _fd_network(output_dim=3),
+     ".network.architecture: expected {'input_dim': 19, 'hidden_layers': 2, "
+     "'hidden_width': 24, 'output_dim': 4} for 19 state factors, 4 plans"),
+    ("network", "weights.0.0.0", float("nan"), ".network: weights and biases must be finite"),
+    ("network", "biases.2.0", float("inf"), ".network: weights and biases must be finite"),
+    ("network", "weights.1", [[0.5]], ".network: malformed parameters (layer 1: "),
+], ids=["network", "carry_next_state", "hidden_width", "decays_done",
+        "network-hidden_width", "input_dim", "output_dim", "nan-weight", "inf-bias",
+        "weight-shape"])
 def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys,
                                                     section, key, value, message):
     train_dir = tmp_path / "train"
@@ -606,8 +629,12 @@ def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys
     if key is None:
         data[section] = value
     else:
-        data[section][key] = value
-    ckpt.write_text(json.dumps(data))
+        *parents, last = key.split(".")
+        node = data[section]
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[int(last) if last.isdigit() else last] = value
+    ckpt.write_text(json.dumps(data))   # NaN and Infinity are written as JSON reads them
     capsys.readouterr()
     eval_dir = tmp_path / "eval"
     assert main(["evaluate", "--config", str(cli_config), "--checkpoint", str(ckpt),
