@@ -13,7 +13,8 @@ applied in expectation: a stage that forwards 60% of requests contributes
 deterministic for a given stress trajectory.  Fog-hosted stages slow down
 when their CPU demand exceeds the units left free by the stress load; Cloud
 stages never contend.  All time is simulated: nothing here reads the wall
-clock, so a deployment's outcome depends only on the seed and the plans.
+clock, so a deployment's outcome depends only on the profile, the seed and
+the plans.
 """
 from __future__ import annotations
 
