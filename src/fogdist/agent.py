@@ -7,7 +7,8 @@ holds more than a minibatch, runs one replay pass per deployment: every
 sampled transition contributes a single-action gradient step toward
 reward + discount * max of the network on the successor state, with all of
 the pass's targets computed before its first step, and the exploration
-rate decays one notch.
+rate decays one notch.  `AgentConfig` holds every setting, the exploration
+schedule's included; `EpsilonSchedule` is the run state built from it.
 """
 from __future__ import annotations
 
@@ -29,10 +30,10 @@ from .model import (
     strategy_utility,
 )
 from .nn import NetworkArchitecture, QNetwork
-from .profiles import ApplicationProfile, read_json_file, record_from_dict
+from .profiles import ApplicationProfile, read_json_file, record_from_dict, typed_value
 from .seeding import derive_seed
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 DEPLOYMENTS_PER_EPISODE = 20
 
 
@@ -113,6 +114,10 @@ class AgentConfig:
     # decision state for a whole episode and stores each transition with its
     # own state as successor.
     carry_next_state: bool = True
+    # The exploration schedule: rate max(floor, start * decay**t) after t decays.
+    epsilon_start: float = 1.0
+    epsilon_floor: float = 0.01
+    epsilon_decay: float = 0.99
 
     def __post_init__(self):
         if not 0 <= self.discount < 1:
@@ -123,6 +128,11 @@ class AgentConfig:
             raise ValueError("learning_rate must be > 0")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
+        self.initial_schedule()         # raises the schedule's own errors
+
+    def initial_schedule(self) -> EpsilonSchedule:
+        """A fresh exploration schedule with these settings."""
+        return EpsilonSchedule(self.epsilon_start, self.epsilon_floor, self.epsilon_decay)
 
 
 class StaticStrategy:
@@ -134,7 +144,6 @@ class StaticStrategy:
         if fog_modules < 0:
             raise ValueError("fog_modules must be >= 0")
         self.fog_modules = fog_modules
-        self.name = f"s{fog_modules}"
 
     def select_k(self, state_vec: np.ndarray, rng: random.Random) -> int:
         return self.fog_modules
@@ -144,7 +153,6 @@ class GreedyNetworkStrategy:
     """Pure exploitation of a trained value network (evaluation mode)."""
 
     learns = False
-    name = "context-aware"
 
     def __init__(self, network: QNetwork):
         self.network = network
@@ -158,14 +166,12 @@ class DQNAgent:
     """Learning strategy: epsilon-greedy over a replay-trained value network."""
 
     learns = True
-    name = "context-aware"
 
-    def __init__(self, n_actions: int, config: AgentConfig | None = None,
-                 schedule: EpsilonSchedule | None = None, seed: int = 0):
+    def __init__(self, n_actions: int, config: AgentConfig | None = None, seed: int = 0):
         if n_actions < 1:
             raise ValueError("n_actions must be >= 1")
         self.config = config or AgentConfig()
-        self.schedule = schedule or EpsilonSchedule()
+        self.schedule = self.config.initial_schedule()
         self.n_actions = n_actions
         arch = NetworkArchitecture(
             input_dim=len(STATE_FACTORS),
@@ -373,7 +379,7 @@ def train(
 
 def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
                     provenance: dict | None = None) -> None:
-    """Write the agent (network, schedule, config) to a versioned JSON file.
+    """Write the agent (config, decay count, network) to a versioned JSON file.
 
     Raises ValueError, writing nothing, if any value is not finite.
     """
@@ -383,7 +389,7 @@ def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
         "profile_name": profile_name,
         "n_actions": agent.n_actions,
         "config": asdict(agent.config),
-        "schedule": asdict(agent.schedule),
+        "decays_done": agent.schedule.decays_done,
         "network": agent.network.to_dict(),
         "provenance": provenance or {},
     }
@@ -406,17 +412,11 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
             f"{path}: checkpoint format version {version!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT_VERSION}); retrain to write a current checkpoint"
         )
-    for section in ("config", "schedule", "network"):
-        if not isinstance(data.get(section), dict):
-            raise ValueError(f"{path}: malformed checkpoint ({section!r} is not an object)")
-    config = record_from_dict(AgentConfig, data["config"], f"{path}.config")
-    schedule = record_from_dict(EpsilonSchedule, data["schedule"], f"{path}.schedule")
-    try:
-        agent = DQNAgent(n_actions=data["n_actions"], config=config, schedule=schedule)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint ({exc!r})") from None
+    config = record_from_dict(AgentConfig, data.get("config"), f"{path}.config")
+    agent = DQNAgent(_count(data, "n_actions", 1, path), config)
+    agent.schedule.decays_done = _count(data, "decays_done", 0, path)
     expected = agent.network.architecture
-    agent.network = QNetwork.from_dict(data["network"], f"{path}.network")
+    agent.network = QNetwork.from_dict(data.get("network"), f"{path}.network")
     if agent.network.architecture != expected:
         raise ValueError(
             f"{path}.network.architecture: expected {asdict(expected)} for "
@@ -428,3 +428,12 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
         "provenance": data.get("provenance", {}),
     }
     return agent, meta
+
+
+def _count(data: dict, key: str, minimum: int, path: Path) -> int:
+    """The checkpoint's integer `key`, at least `minimum`; absent reads as null."""
+    where = f"{path}.{key}"
+    count = typed_value(int, data.get(key), where)
+    if count < minimum:
+        raise ValueError(f"{where}: must be >= {minimum}, got {count}")
+    return count

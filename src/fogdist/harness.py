@@ -1,8 +1,11 @@
 """Experiment harness: configuration, evaluation runs, and file emission.
 
 A run is driven by a JSON config (all keys optional, unknown keys rejected)
-and a master seed.  Evaluation builds one environment per experiment index,
-seeded from the master seed and the index alone, so every approach faces
+and a master seed.  The config file, the config hash and `run.json` all use
+one shape, `asdict` of `ExperimentConfig`; the agent's exploration settings
+are the ``epsilon_*`` keys of its "agent" section, like every other agent
+setting.  Evaluation builds one environment per experiment index, seeded
+from the master seed and the index alone, so every approach faces
 bit-identical stress trajectories.  It simulates each strategy x experiment
 once and then scores those outcomes under every (pricing, weights) cell
 asked for: `evaluate` asks for one cell, `sweep` for its whole grid.  That
@@ -19,7 +22,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,6 @@ from .agent import (
     AgentConfig,
     DQNAgent,
     EpisodeResult,
-    EpsilonSchedule,
     GreedyNetworkStrategy,
     StaticStrategy,
     load_checkpoint,
@@ -50,9 +52,6 @@ RUN_FORMAT_VERSION = 1
 FD_TRANSMISSION_CHAIN_S = (2.28, 0.77, 0.52, 0.11)
 CALIBRATION_REL_TOL = 0.02
 
-# The exploration schedule's settings, as named in the config's "agent" section.
-_SCHEDULE_KEYS = {f"epsilon_{name}": name for name in ("start", "floor", "decay")}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,7 +63,6 @@ class ExperimentConfig:
     eval_experiments: int = 100
     master_seed: int = 2026
     agent: AgentConfig = field(default_factory=AgentConfig)
-    schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
 
     def __post_init__(self):
         if self.deployments_per_episode < 1:
@@ -82,43 +80,19 @@ class ExperimentConfig:
             return self.episodes
         return 400 if self.profile == "ipokemon" else 600
 
-    def to_dict(self) -> dict:
-        """The config as a JSON object, in the shape `config_from_dict` reads."""
-        data = asdict(self)
-        schedule = data.pop("schedule")
-        data["agent"].update({key: schedule[name] for key, name in _SCHEDULE_KEYS.items()})
-        return data
-
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True)
+    canonical = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
-# The config's keys: every field but the schedule, which lives in "agent".
-_CONFIG_KEYS = {f.name: f.name for f in fields(ExperimentConfig) if f.name != "schedule"}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON object, filling defaults, rejecting unknowns.
 
     Values are type-checked and errors name their path (see
-    `record_from_dict`).  The exploration schedule is read from the
-    ``epsilon_*`` keys of the "agent" section, where `to_dict` writes it.
+    `record_from_dict`).
     """
-    if not isinstance(data, dict):
-        raise ValueError("config: expected an object")
-    agent = data.get("agent", {})
-    schedule = {}
-    if isinstance(agent, dict):         # the reader reports any other "agent"
-        schedule = {key: value for key, value in agent.items() if key in _SCHEDULE_KEYS}
-        agent = {key: value for key, value in agent.items() if key not in _SCHEDULE_KEYS}
-        data = {**data, "agent": agent}
-    cfg = record_from_dict(ExperimentConfig, data, "config", keys=_CONFIG_KEYS)
-    return replace(
-        cfg,
-        schedule=record_from_dict(EpsilonSchedule, schedule, "config.agent", keys=_SCHEDULE_KEYS),
-    )
+    return record_from_dict(ExperimentConfig, data, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -174,9 +148,7 @@ class BoxplotStats:
 class RunArtifacts:
     """What a harness command produced, plus where it wrote it."""
 
-    command: str
     config_hash: str
-    master_seed: int
     files: dict[str, Path] = field(default_factory=dict)
     learning_curve: list[float] | None = None
     boxplots: dict[str, BoxplotStats] | None = None
@@ -203,7 +175,7 @@ def _write_run_json(out_dir: Path, command: str, cfg: ExperimentConfig, cfg_hash
         "command": command,
         "config_hash": cfg_hash,
         "master_seed": cfg.master_seed,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "outputs": {k: p.name for k, p in sorted(outputs.items())},
         "summary": summary,
     }
@@ -218,7 +190,6 @@ def build_agent(cfg: ExperimentConfig, profile: ApplicationProfile) -> DQNAgent:
     return DQNAgent(
         n_actions=profile.n_modules + 1,
         config=cfg.agent,
-        schedule=replace(cfg.schedule, decays_done=0),
         seed=derive_seed(cfg.master_seed, "agent-init"),
     )
 
@@ -329,10 +300,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
             "epsilon_final": agent.schedule.epsilon,
         },
     )
-    return RunArtifacts(
-        command="train", config_hash=cfg_hash, master_seed=cfg.master_seed,
-        files=files, learning_curve=curve,
-    )
+    return RunArtifacts(config_hash=cfg_hash, files=files, learning_curve=curve)
 
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Path) -> RunArtifacts:
@@ -371,10 +339,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | P
         out_dir, "evaluate", cfg, cfg_hash, files,
         summary={name: stats.median for name, stats in sorted(boxplots.items())},
     )
-    return RunArtifacts(
-        command="evaluate", config_hash=cfg_hash, master_seed=cfg.master_seed,
-        files=files, boxplots=boxplots,
-    )
+    return RunArtifacts(config_hash=cfg_hash, files=files, boxplots=boxplots)
 
 
 def cmd_sweep(
@@ -450,10 +415,7 @@ def cmd_sweep(
         out_dir, "sweep", cfg, cfg_hash, files,
         summary={"cells": len(cells), "ratios": ratios},
     )
-    return RunArtifacts(
-        command="sweep", config_hash=cfg_hash, master_seed=cfg.master_seed,
-        files=files, mean_costs=mean_costs,
-    )
+    return RunArtifacts(config_hash=cfg_hash, files=files, mean_costs=mean_costs)
 
 
 # -- calibration -------------------------------------------------------------
@@ -565,7 +527,4 @@ def cmd_latency(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Pa
         out_dir, "latency", cfg, cfg_hash, files,
         summary={"samples": stats.count, "max_ms": stats.maximum},
     )
-    return RunArtifacts(
-        command="latency", config_hash=cfg_hash, master_seed=cfg.master_seed,
-        files=files, latency=stats,
-    )
+    return RunArtifacts(config_hash=cfg_hash, files=files, latency=stats)

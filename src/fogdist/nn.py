@@ -5,7 +5,8 @@ hidden layers and identity on the output.  Training only ever regresses the
 output of a single action toward a scalar target, so the backward pass
 propagates the gradient of (target - q[action])**2 through that one output.
 Plain gradient descent, float64 throughout; parameters serialise to a
-versioned JSON-ready dict whose floats round-trip exactly.
+JSON-ready dict whose floats round-trip exactly.  The dict is stored only
+inside an agent checkpoint, which carries the format version.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .profiles import record_from_dict
-
-NETWORK_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,15 @@ class NetworkArchitecture:
 
     def layer_sizes(self) -> list[int]:
         return [self.input_dim] + [self.hidden_width] * self.hidden_layers + [self.output_dim]
+
+
+@dataclass(frozen=True)
+class _SerialisedNetwork:
+    """The JSON form of a `QNetwork`, as `record_from_dict` type-checks it."""
+
+    architecture: NetworkArchitecture
+    weights: tuple[tuple[tuple[float, ...], ...], ...]
+    biases: tuple[tuple[float, ...], ...]
 
 
 class QNetwork:
@@ -129,7 +137,6 @@ class QNetwork:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": NETWORK_FORMAT_VERSION,
             "architecture": asdict(self.architecture),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
@@ -137,19 +144,15 @@ class QNetwork:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "network") -> "QNetwork":
-        """Rebuild a network from `to_dict` output, with a type-checked
-        architecture and finite parameters of the matching shapes.  Every
+        """Rebuild a network from `to_dict` output: every value type-checked,
+        and finite parameters of the shapes the architecture asks for.  Every
         error is a ValueError naming ``where``."""
-        if data.get("format_version") != NETWORK_FORMAT_VERSION:
-            raise ValueError(
-                f"{where}: unsupported network format version {data.get('format_version')!r}"
-            )
-        arch = record_from_dict(NetworkArchitecture, data.get("architecture"), f"{where}.architecture")
+        read = record_from_dict(_SerialisedNetwork, data, where)
         try:
-            weights = [np.array(w, dtype=np.float64) for w in data["weights"]]
-            biases = [np.array(b, dtype=np.float64) for b in data["biases"]]
-            network = cls(arch, weights, biases)
-        except (KeyError, TypeError, ValueError) as exc:
+            weights = [np.array(w, dtype=np.float64) for w in read.weights]
+            biases = [np.array(b, dtype=np.float64) for b in read.biases]
+            network = cls(read.architecture, weights, biases)
+        except ValueError as exc:
             raise ValueError(f"{where}: malformed parameters ({exc})") from None
         if not all(np.isfinite(p).all() for p in weights + biases):
             raise ValueError(f"{where}: weights and biases must be finite")

@@ -9,8 +9,8 @@ transmission model.
 
 Profiles can be loaded from JSON so new use-cases need no code changes; see
 ``load_profile`` and the README for the schema.  ``record_from_dict``, the
-one reader of typed JSON records, also reads experiment configs and the
-sections of agent checkpoints.
+one reader of typed JSON records, also reads experiment configs and agent
+checkpoints.
 """
 from __future__ import annotations
 
@@ -99,6 +99,11 @@ class ApplicationProfile:
             raise ValueError(
                 f"profile {self.name}: total module cpu demand {total_cpu} exceeds the node"
             )
+        names = [m.name for m in self.modules]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            # Stage times are keyed by module name, so a repeat would drop a stage.
+            raise ValueError(f"profile {self.name}: module name(s) {repeated} used more than once")
 
     @property
     def n_modules(self) -> int:
@@ -236,7 +241,7 @@ def _shown(value) -> str:
     return json.dumps(value, default=repr)
 
 
-def _typed_value(kind, value, where: str):
+def typed_value(kind, value, where: str):
     """`value` read as annotation `kind`: a record, a tuple, or a checked scalar."""
     if is_dataclass(kind):
         return record_from_dict(kind, value, where)
@@ -244,19 +249,22 @@ def _typed_value(kind, value, where: str):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where}: expected a list, got {_shown(value)}")
         item_kind = typing.get_args(kind)[0]
-        return tuple(_typed_value(item_kind, item, f"{where}[{i}]") for i, item in enumerate(value))
+        if item_kind in _JSON_NAMES and all(           # scalars: one check per type present
+                _json_type_matches(t, item_kind) for t in set(map(type, value))):
+            return tuple(value)
+        return tuple(typed_value(item_kind, item, f"{where}[{i}]") for i, item in enumerate(value))
     accepted = typing.get_args(kind) or (kind,)   # int | None -> (int, NoneType)
-    if any(_json_matches(value, scalar) for scalar in accepted):
+    if any(_json_type_matches(type(value), scalar) for scalar in accepted):
         return value
     expected = " or ".join(_JSON_NAMES[scalar] for scalar in accepted)
     raise ValueError(f"{where}: expected {expected}, got {_shown(value)}")
 
 
-def _json_matches(value, scalar) -> bool:
-    """Whether a JSON value has the type a scalar annotation asks for."""
-    if isinstance(value, bool):                   # bool is a subclass of int
+def _json_type_matches(value_type, scalar) -> bool:
+    """Whether a JSON value of `value_type` has the type a scalar annotation asks for."""
+    if issubclass(value_type, bool):              # bool is a subclass of int
         return scalar is bool
-    return isinstance(value, (int, float) if scalar is float else scalar)
+    return issubclass(value_type, (int, float) if scalar is float else scalar)
 
 
 @functools.cache
@@ -265,12 +273,11 @@ def _field_kinds(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def record_from_dict(cls, data, where: str, keys: dict[str, str] | None = None):
+def record_from_dict(cls, data, where: str):
     """Build dataclass `cls` from a JSON object, checking every value's type.
 
-    ``keys`` maps each accepted JSON key to its field; by default every
-    field is accepted under its own name.  A missing key takes the field's
-    default, an unknown one is rejected.  Nested dataclass fields and
+    Every field is accepted under its own name.  A missing key takes the
+    field's default, an unknown one is rejected.  Nested dataclass fields and
     ``tuple[X, ...]`` fields are read recursively, scalars are checked
     against the field's annotation and kept exactly as given (an integer in
     a float field stays an integer).  Every error is a ValueError naming
@@ -278,23 +285,17 @@ def record_from_dict(cls, data, where: str, keys: dict[str, str] | None = None):
     """
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {_shown(data)}")
-    if keys is None:
-        keys = {f.name: f.name for f in fields(cls)}
-    unknown = set(data) - set(keys)
+    kinds = _field_kinds(cls)
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
-    required = {
+    missing = sorted(
         f.name for f in fields(cls)
-        if f.default is MISSING and f.default_factory is MISSING
-    }
-    missing = sorted(key for key, name in keys.items() if name in required and key not in data)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data
+    )
     if missing:
         raise ValueError(f"{where}: missing key(s) {missing}")
-    kinds = _field_kinds(cls)
-    values = {
-        keys[key]: _typed_value(kinds[keys[key]], value, f"{where}.{key}")
-        for key, value in data.items()
-    }
+    values = {key: typed_value(kinds[key], value, f"{where}.{key}") for key, value in data.items()}
     try:
         return cls(**values)
     except ValueError as exc:

@@ -55,7 +55,6 @@ def make_transition(reward=0.0, terminal=False, action=0):
 def test_static_strategy_always_returns_its_plan():
     rng = random.Random(0)
     s2 = StaticStrategy(2)
-    assert s2.name == "s2"
     assert all(s2.select_k(np.zeros(19), rng) == 2 for _ in range(10))
     with pytest.raises(ValueError):
         StaticStrategy(-1)
@@ -68,7 +67,7 @@ def test_greedy_strategy_argmax_with_low_plan_tie_break():
 
 
 def test_fully_exploring_agent_is_uniform_over_plans():
-    agent = DQNAgent(n_actions=4, schedule=EpsilonSchedule(start=1.0))
+    agent = DQNAgent(n_actions=4, config=AgentConfig(epsilon_start=1.0))
     rng = random.Random(123)
     counts = [0, 0, 0, 0]
     n = 10_000
@@ -80,7 +79,8 @@ def test_fully_exploring_agent_is_uniform_over_plans():
 
 
 def test_greedy_agent_at_floor_mostly_exploits():
-    agent = DQNAgent(n_actions=4, schedule=EpsilonSchedule(decays_done=459))
+    agent = DQNAgent(n_actions=4)
+    agent.schedule.decays_done = 459
     assert agent.schedule.epsilon == 0.01
     agent.network = bias_only_network([0.0, 0.0, 5.0, 0.0])
     rng = random.Random(7)
@@ -139,6 +139,18 @@ def test_epsilon_schedule_validation():
         EpsilonSchedule(decay=1.0)
     with pytest.raises(ValueError):
         EpsilonSchedule(decays_done=-1)
+
+
+def test_agent_builds_its_schedule_from_its_config():
+    config = AgentConfig(epsilon_start=0.8, epsilon_floor=0.1, epsilon_decay=0.9)
+    agent = DQNAgent(n_actions=2, config=config)
+    assert agent.schedule == EpsilonSchedule(start=0.8, floor=0.1, decay=0.9, decays_done=0)
+    assert agent.schedule is not DQNAgent(n_actions=2, config=config).schedule
+    # the config's own check is the schedule's, with the schedule's message
+    with pytest.raises(ValueError, match="need 0 <= floor <= start <= 1"):
+        AgentConfig(epsilon_start=0.5, epsilon_floor=0.6)
+    with pytest.raises(ValueError, match="decay must lie in"):
+        AgentConfig(epsilon_decay=1.0)
 
 
 # -- learning internals -------------------------------------------------------
@@ -327,8 +339,9 @@ def test_cost_only_training_learns_the_cheaper_tier():
 # -- checkpointing ------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
-    agent = DQNAgent(n_actions=4, config=AgentConfig(learning_rate=0.002),
-                     schedule=EpsilonSchedule(decays_done=17), seed=9)
+    agent = DQNAgent(n_actions=4, seed=9,
+                     config=AgentConfig(learning_rate=0.002, epsilon_floor=0.05, epsilon_decay=0.95))
+    agent.schedule.decays_done = 17
     train(fd_profile(), agent, episodes=2, pricing=PRICING, weights=HYBRID,
           master_seed=5)
     path = tmp_path / "ck.json"
@@ -349,8 +362,8 @@ def test_load_checkpoint_errors(tmp_path):
     bad.write_text('{"format_version": 99, "kind": "fogdist-agent"}')
     with pytest.raises(ValueError):
         load_checkpoint(bad)
-    bad.write_text('{"format_version": 2, "kind": "fogdist-agent", "n_actions": 4}')
-    with pytest.raises(ValueError, match="malformed"):
+    bad.write_text('{"format_version": 3, "kind": "fogdist-agent", "n_actions": 4}')
+    with pytest.raises(ValueError, match=r"bad\.json\.config: expected an object, got null"):
         load_checkpoint(bad)
 
 
@@ -364,6 +377,24 @@ def test_checkpoint_format_1_is_rejected_with_a_retrain_hint(tmp_path):
     data["target_network"] = data["network"]
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="format version 1 .*retrain"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_format_2_is_rejected_with_a_retrain_hint(tmp_path):
+    agent = DQNAgent(n_actions=4, seed=2)
+    path = tmp_path / "v2.json"
+    save_checkpoint(agent, path, profile_name="fd")
+    data = json.loads(path.read_text())
+    assert "schedule" not in data and "format_version" not in data["network"]
+    config = data["config"]
+    data["format_version"] = 2
+    data["schedule"] = {
+        "start": config.pop("epsilon_start"), "floor": config.pop("epsilon_floor"),
+        "decay": config.pop("epsilon_decay"), "decays_done": data.pop("decays_done"),
+    }
+    data["network"]["format_version"] = 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="format version 2 .*retrain"):
         load_checkpoint(path)
 
 

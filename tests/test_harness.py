@@ -1,5 +1,6 @@
 """Harness tests: config parsing, summaries, command outputs, CLI exit codes."""
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from fogdist.agent import (
     AgentConfig,
     DQNAgent,
-    EpsilonSchedule,
     GreedyNetworkStrategy,
     StaticStrategy,
     run_episode,
+    train,
 )
 from fogdist.cli import EXIT_CALIBRATION, EXIT_OK, EXIT_VALIDATION, main
 from fogdist.env import FogEnvironment
@@ -27,6 +28,7 @@ from fogdist.harness import (
     cmd_train,
     config_from_dict,
     config_hash,
+    build_agent,
     evaluate_strategies,
     load_config,
     measure_decision_latency,
@@ -54,7 +56,7 @@ def test_empty_config_gives_defaults():
     assert cfg.weights == UtilityWeights(-1.0, -1.0)
     assert cfg.agent.discount == 0.95
     assert cfg.agent.batch_size == 5
-    assert cfg.schedule.decay == 0.99
+    assert cfg.agent.epsilon_decay == 0.99
     assert cfg.resolved_episodes() == 600
     assert cfg.eval_experiments == 100
 
@@ -76,7 +78,7 @@ def test_config_sections_parse():
     assert cfg.pricing.vm_hourly == PricingModel().vm_hourly
     assert cfg.weights.cost_weight == -2.0
     assert cfg.agent.learning_rate == 0.005
-    assert cfg.schedule.decay == 0.95
+    assert cfg.agent.epsilon_decay == 0.95
 
 
 def test_config_rejects_zero_weights():
@@ -114,7 +116,7 @@ def test_config_hash_tracks_content():
 
 @st.composite
 def experiment_configs(draw):
-    """Valid configs with every field drawn (the schedule's decay count stays 0)."""
+    """Valid configs with every field drawn."""
     price = st.floats(0.0, 1.0)
     weight = st.floats(-5.0, 0.0)
     qos, cost = draw(weight), draw(weight)
@@ -137,10 +139,8 @@ def experiment_configs(draw):
             hidden_layers=draw(st.integers(1, 4)),
             hidden_width=draw(st.integers(1, 64)),
             carry_next_state=draw(st.booleans()),
-        ),
-        schedule=EpsilonSchedule(
-            start=draw(st.floats(floor, 1.0)), floor=floor,
-            decay=draw(st.floats(0.01, 0.999)),
+            epsilon_start=draw(st.floats(floor, 1.0)), epsilon_floor=floor,
+            epsilon_decay=draw(st.floats(0.01, 0.999)),
         ),
     )
 
@@ -148,7 +148,7 @@ def experiment_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(cfg=experiment_configs())
 def test_config_round_trips_through_its_json_form(cfg):
-    data = cfg.to_dict()
+    data = dataclasses.asdict(cfg)
     assert config_from_dict(data) == cfg
     assert config_from_dict(json.loads(json.dumps(data))) == cfg
 
@@ -303,13 +303,15 @@ def test_cmd_train_outputs(tmp_path):
     assert (tmp_path / "checkpoint.json").exists()
 
 
-def test_train_checkpoint_is_format_2_with_the_weights_in_provenance(tmp_path):
+def test_train_checkpoint_is_format_3_with_the_weights_in_provenance(tmp_path):
     cfg = small_config(weights=UtilityWeights(qos_weight=0.0, cost_weight=-2.0))
     artifacts = cmd_train(cfg, tmp_path)
     data = json.loads((tmp_path / "checkpoint.json").read_text())
-    assert data["format_version"] == 2
-    assert "target_network" not in data
-    assert "weights" not in data["config"]
+    assert data["format_version"] == 3
+    assert "target_network" not in data and "schedule" not in data
+    assert data["config"] == dataclasses.asdict(cfg.agent)     # epsilon_* included
+    assert type(data["decays_done"]) is int and data["decays_done"] > 0
+    assert set(data["network"]) == {"architecture", "weights", "biases"}
     assert data["provenance"] == {
         "config_hash": artifacts.config_hash, "master_seed": 99,
         "weights": {"qos_weight": 0.0, "cost_weight": -2.0},
@@ -322,6 +324,28 @@ def test_cmd_train_is_byte_deterministic(tmp_path):
     cmd_train(cfg, tmp_path / "b")
     for name in ("learning_curve.csv", "checkpoint.json", "run.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of [curve, weights, biases, decays_done] after training at seed 2026.
+TRAINING_DIGESTS = {
+    ("fd", 40): "1ca09b0d1cd1a252b8529b8901a17429c30624080d6c3f2a2ce8ece6bada5c23",
+    ("ipokemon", 20): "e878fa6165065042e94a373f9ed194973b6f70242886a2de7077fc8e222fdb9d",
+    ("heavy", 20): "4dd0d7440ffe330e438f9abab7b54b82e7c35dacb4a2f1dd56653224a91bfcff",
+}
+
+
+@pytest.mark.parametrize("profile, episodes", TRAINING_DIGESTS, ids=[p for p, _ in TRAINING_DIGESTS])
+def test_training_is_pinned_to_the_bit(profile, episodes):
+    """Training through `build_agent` gives the same curve, network and decay count."""
+    cfg = config_from_dict({"profile": profile, "master_seed": 2026})
+    agent = build_agent(cfg, cfg.resolved_profile())
+    curve = train(cfg.resolved_profile(), agent, episodes, cfg.pricing, cfg.weights,
+                  master_seed=cfg.master_seed, deployments=cfg.deployments_per_episode)
+    blob = json.dumps([
+        curve, [w.tolist() for w in agent.network.weights],
+        [b.tolist() for b in agent.network.biases], agent.schedule.decays_done,
+    ])
+    assert hashlib.sha256(blob.encode()).hexdigest() == TRAINING_DIGESTS[profile, episodes]
 
 
 def test_cmd_evaluate_outputs(tmp_path):
@@ -603,10 +627,17 @@ def _fd_network(**arch) -> dict:
 
 
 @pytest.mark.parametrize("section, key, value, message", [
-    ("network", None, 5, "malformed checkpoint ('network' is not an object)"),
+    ("network", None, 5, ".network: expected an object, got 5"),
     ("config", "carry_next_state", "no", ".config.carry_next_state: expected true/false"),
     ("config", "hidden_width", 24.0, ".config.hidden_width: expected an integer, got 24.0"),
-    ("schedule", "decays_done", "7", ".schedule.decays_done: expected an integer"),
+    ("config", "epsilon_floor", 2.0, ".config: need 0 <= floor <= start <= 1"),
+    ("decays_done", None, "7", ".decays_done: expected an integer, got \"7\""),
+    ("decays_done", None, 7.0, ".decays_done: expected an integer, got 7.0"),
+    ("decays_done", None, True, ".decays_done: expected an integer, got true"),
+    ("decays_done", None, -1, ".decays_done: must be >= 0, got -1"),
+    ("n_actions", None, 4.0, ".n_actions: expected an integer, got 4.0"),
+    ("n_actions", None, True, ".n_actions: expected an integer, got true"),
+    ("n_actions", None, 0, ".n_actions: must be >= 1, got 0"),
     ("network", "architecture.hidden_width", 24.0,
      ".network.architecture.hidden_width: expected an integer, got 24.0"),
     ("network", None, _fd_network(input_dim=18),
@@ -617,9 +648,15 @@ def _fd_network(**arch) -> dict:
     ("network", "weights.0.0.0", float("nan"), ".network: weights and biases must be finite"),
     ("network", "biases.2.0", float("inf"), ".network: weights and biases must be finite"),
     ("network", "weights.1", [[0.5]], ".network: malformed parameters (layer 1: "),
-], ids=["network", "carry_next_state", "hidden_width", "decays_done",
-        "network-hidden_width", "input_dim", "output_dim", "nan-weight", "inf-bias",
-        "weight-shape"])
+    ("network", "weights.0.0.0", True, ".network.weights[0][0][0]: expected a number, got true"),
+    ("network", "biases.1.3", "0.5", ".network.biases[1][3]: expected a number, got \"0.5\""),
+    ("network", "weights.2.1", 0.5, ".network.weights[2][1]: expected a list, got 0.5"),
+    ("network", "format_version", 1, ".network: unknown key(s) ['format_version']"),
+], ids=["network", "carry_next_state", "hidden_width", "epsilon_floor", "decays_done",
+        "decays_done-float", "decays_done-bool", "decays_done-negative", "n_actions-float",
+        "n_actions-bool", "n_actions-zero", "network-hidden_width", "input_dim", "output_dim",
+        "nan-weight", "inf-bias", "weight-shape", "bool-weight", "string-bias", "flat-weight-row",
+        "network-format_version"])
 def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys,
                                                     section, key, value, message):
     train_dir = tmp_path / "train"
@@ -627,7 +664,7 @@ def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys
     ckpt = train_dir / "checkpoint.json"
     data = json.loads(ckpt.read_text())
     if key is None:
-        data[section] = value
+        data[section] = value         # a section, or a top-level key
     else:
         *parents, last = key.split(".")
         node = data[section]

@@ -140,10 +140,14 @@ def test_save_load_round_trip():
         assert np.array_equal(mine, theirs)
 
 
-def test_load_rejects_other_versions():
+def test_from_dict_rejects_unknown_and_missing_keys():
+    """The checkpoint carries the format version; a network section has none."""
     data = QNetwork.initialize(small_arch(), seed=14).to_dict()
-    data["format_version"] = 99
-    with pytest.raises(ValueError, match="version 99"):
+    assert set(data) == {"architecture", "weights", "biases"}
+    with pytest.raises(ValueError, match=r"^network: unknown key\(s\) \['format_version'\]"):
+        QNetwork.from_dict({**data, "format_version": 1})
+    del data["biases"]
+    with pytest.raises(ValueError, match=r"^network: missing key\(s\) \['biases'\]"):
         QNetwork.from_dict(data)
 
 

@@ -137,16 +137,17 @@ def test_a_record_check_is_prefixed_with_the_record_path():
 
 @st.composite
 def application_profiles(draw):
-    """Valid profiles with every field drawn; module cpu demand sums to at most 8."""
+    """Valid profiles with every field drawn: distinct module names, and module
+    cpu demand summing to at most 8."""
     seconds = st.floats(0.0, 1e3)
     share = st.floats(0.0, 1.0, exclude_min=True)
     modules = tuple(
         ModuleProfile(
-            name=draw(st.text(min_size=1)), compute_s=draw(seconds), fog_extra_s=draw(seconds),
+            name=name, compute_s=draw(seconds), fog_extra_s=draw(seconds),
             data_out_ratio=draw(share), pass_fraction=draw(share),
             demand=ResourceUsage(draw(st.floats(0.0, 2.0)), draw(seconds), draw(seconds)),
         )
-        for _ in range(draw(st.integers(1, 4)))
+        for name in draw(st.lists(st.text(min_size=1), min_size=1, max_size=4, unique=True))
     )
     return ApplicationProfile(
         name=draw(st.text(min_size=1)), modules=modules,
@@ -189,17 +190,8 @@ def scalar_fields(cls, chain=()):
             yield chain + (f.name,), kind
 
 
-def config_fields():
-    """The config's scalar fields; the schedule's are the epsilon_* keys of "agent"."""
-    for chain, kind in scalar_fields(ExperimentConfig):
-        if chain[0] != "schedule":
-            yield chain, kind
-        elif chain[1] != "decays_done":       # run state, not a config key
-            yield ("agent", f"epsilon_{chain[1]}"), kind
-
-
 CASES = (
-    [("config", chain, kind) for chain, kind in config_fields()]
+    [("config", chain, kind) for chain, kind in scalar_fields(ExperimentConfig)]
     + [("my.json", chain, kind) for chain, kind in scalar_fields(ApplicationProfile)]
 )
 
@@ -230,6 +222,15 @@ def test_the_generated_cases_cover_every_section():
             "config.agent.epsilon_decay", "my.json.requests_per_deployment",
             "my.json.modules[0].compute_s", "my.json.modules[0].demand.cpu_units"} <= covered
     assert "config.agent.epsilon_decays_done" not in covered
+
+
+def test_repeated_module_names_are_rejected():
+    """Stage times are keyed by module name, so a repeated name would drop a stage."""
+    data = json.loads(json.dumps(profile_to_dict(fd_profile())))
+    data["modules"][1]["name"] = "greyscale"
+    with pytest.raises(ValueError, match=r"^my\.json: profile fd: module name\(s\) \['greyscale'\] "
+                                         r"used more than once"):
+        profile_from_dict(data, "my.json")
 
 
 def test_module_validation():
