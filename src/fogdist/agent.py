@@ -115,9 +115,9 @@ class AgentConfig:
     # own state as successor.
     carry_next_state: bool = True
     # The exploration schedule: rate max(floor, start * decay**t) after t decays.
-    epsilon_start: float = 1.0
-    epsilon_floor: float = 0.01
-    epsilon_decay: float = 0.99
+    epsilon_start: float = EpsilonSchedule.start
+    epsilon_floor: float = EpsilonSchedule.floor
+    epsilon_decay: float = EpsilonSchedule.decay
 
     def __post_init__(self):
         if not 0 <= self.discount < 1:

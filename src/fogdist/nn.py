@@ -152,7 +152,7 @@ class QNetwork:
             weights = [np.array(w, dtype=np.float64) for w in read.weights]
             biases = [np.array(b, dtype=np.float64) for b in read.biases]
             network = cls(read.architecture, weights, biases)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:   # overflow: an integer beyond float64
             raise ValueError(f"{where}: malformed parameters ({exc})") from None
         if not all(np.isfinite(p).all() for p in weights + biases):
             raise ValueError(f"{where}: weights and biases must be finite")

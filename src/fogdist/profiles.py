@@ -249,22 +249,19 @@ def typed_value(kind, value, where: str):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where}: expected a list, got {_shown(value)}")
         item_kind = typing.get_args(kind)[0]
-        if item_kind in _JSON_NAMES and all(           # scalars: one check per type present
-                _json_type_matches(t, item_kind) for t in set(map(type, value))):
-            return tuple(value)
         return tuple(typed_value(item_kind, item, f"{where}[{i}]") for i, item in enumerate(value))
     accepted = typing.get_args(kind) or (kind,)   # int | None -> (int, NoneType)
-    if any(_json_type_matches(type(value), scalar) for scalar in accepted):
+    if any(_json_matches(value, scalar) for scalar in accepted):
         return value
     expected = " or ".join(_JSON_NAMES[scalar] for scalar in accepted)
     raise ValueError(f"{where}: expected {expected}, got {_shown(value)}")
 
 
-def _json_type_matches(value_type, scalar) -> bool:
-    """Whether a JSON value of `value_type` has the type a scalar annotation asks for."""
-    if issubclass(value_type, bool):              # bool is a subclass of int
+def _json_matches(value, scalar) -> bool:
+    """Whether a JSON value has the type a scalar annotation asks for."""
+    if isinstance(value, bool):                   # bool is a subclass of int
         return scalar is bool
-    return issubclass(value_type, (int, float) if scalar is float else scalar)
+    return isinstance(value, (int, float) if scalar is float else scalar)
 
 
 @functools.cache

@@ -648,6 +648,7 @@ def _fd_network(**arch) -> dict:
     ("network", "weights.0.0.0", float("nan"), ".network: weights and biases must be finite"),
     ("network", "biases.2.0", float("inf"), ".network: weights and biases must be finite"),
     ("network", "weights.1", [[0.5]], ".network: malformed parameters (layer 1: "),
+    ("network", "weights.0.0.0", 10**400, ".network: malformed parameters (int too large"),
     ("network", "weights.0.0.0", True, ".network.weights[0][0][0]: expected a number, got true"),
     ("network", "biases.1.3", "0.5", ".network.biases[1][3]: expected a number, got \"0.5\""),
     ("network", "weights.2.1", 0.5, ".network.weights[2][1]: expected a list, got 0.5"),
@@ -655,7 +656,7 @@ def _fd_network(**arch) -> dict:
 ], ids=["network", "carry_next_state", "hidden_width", "epsilon_floor", "decays_done",
         "decays_done-float", "decays_done-bool", "decays_done-negative", "n_actions-float",
         "n_actions-bool", "n_actions-zero", "network-hidden_width", "input_dim", "output_dim",
-        "nan-weight", "inf-bias", "weight-shape", "bool-weight", "string-bias", "flat-weight-row",
+        "nan-weight", "inf-bias", "weight-shape", "int-overflow-weight", "bool-weight", "string-bias", "flat-weight-row",
         "network-format_version"])
 def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys,
                                                     section, key, value, message):
