@@ -13,6 +13,7 @@ schedule's included; `EpsilonSchedule` is the run state built from it.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -135,6 +136,16 @@ class AgentConfig:
         return EpsilonSchedule(self.epsilon_start, self.epsilon_floor, self.epsilon_decay)
 
 
+def network_architecture(n_actions: int, config: AgentConfig) -> NetworkArchitecture:
+    """The value network a learner with `n_actions` plans and `config` uses."""
+    return NetworkArchitecture(
+        input_dim=len(STATE_FACTORS),
+        hidden_layers=config.hidden_layers,
+        hidden_width=config.hidden_width,
+        output_dim=n_actions,
+    )
+
+
 class StaticStrategy:
     """Always deploy the same number of leading modules on the Fog."""
 
@@ -158,8 +169,7 @@ class GreedyNetworkStrategy:
         self.network = network
 
     def select_k(self, state_vec: np.ndarray, rng: random.Random) -> int:
-        q = self.network.forward(state_vec)
-        return int(np.argmax(q))  # ties break toward the lower plan
+        return int(self.network.forward(state_vec).argmax())  # ties break toward the lower plan
 
 
 class DQNAgent:
@@ -167,39 +177,41 @@ class DQNAgent:
 
     learns = True
 
-    def __init__(self, n_actions: int, config: AgentConfig | None = None, seed: int = 0):
+    def __init__(self, n_actions: int, config: AgentConfig | None = None, seed: int = 0,
+                 network: QNetwork | None = None):
+        """A fresh learner; `network`, when given, is used in place of a new
+        seeded one and must have `network_architecture(n_actions, config)`."""
         if n_actions < 1:
             raise ValueError("n_actions must be >= 1")
         self.config = config or AgentConfig()
         self.schedule = self.config.initial_schedule()
         self.n_actions = n_actions
-        arch = NetworkArchitecture(
-            input_dim=len(STATE_FACTORS),
-            hidden_layers=self.config.hidden_layers,
-            hidden_width=self.config.hidden_width,
-            output_dim=n_actions,
-        )
-        self.network = QNetwork.initialize(arch, seed=derive_seed(seed, "q-network"))
+        if network is None:
+            network = QNetwork.initialize(
+                network_architecture(n_actions, self.config), seed=derive_seed(seed, "q-network")
+            )
+        self.network = network
         self.memory = ReplayMemory(self.config.replay_capacity)
 
     def select_k(self, state_vec: np.ndarray, rng: random.Random) -> int:
         if rng.random() <= self.schedule.epsilon:
             return rng.randrange(self.n_actions)
-        return int(np.argmax(self.network.forward(state_vec)))
+        return int(self.network.forward(state_vec).argmax())
 
     def compute_target(self, transition: Transition) -> float:
         """Bootstrap target: the reward, plus the discounted best successor value."""
         if transition.terminal:
             return transition.reward
         successor = self.network.forward(transition.next_state)
-        return transition.reward + self.config.discount * float(np.max(successor))
+        return transition.reward + self.config.discount * float(successor.max())
 
     def replay(self, rng: random.Random) -> float | None:
         """One replay pass; returns the mean pre-step loss, or None if skipped.
 
         Runs only once the memory holds strictly more than a minibatch.  All
         targets come from the network as it stands before the pass; the
-        per-sample steps then run in order.
+        per-sample steps then run in order.  A target or loss that is not
+        finite raises a ValueError: training has diverged.
         """
         if len(self.memory) <= self.config.batch_size:
             return None
@@ -207,13 +219,23 @@ class DQNAgent:
         # One forward per sample: a single batched product rounds differently
         # and would change the learning curves.
         targets = [self.compute_target(transition) for transition in batch]
-        losses = [
-            self.network.sgd_step(
+        for target in targets:
+            if not math.isfinite(target):
+                raise self._diverged(f"a replay target is {target!r}")
+        losses = []
+        for transition, target in zip(batch, targets):
+            loss = self.network.sgd_step(
                 transition.state, transition.action, target, self.config.learning_rate
             )
-            for transition, target in zip(batch, targets)
-        ]
+            if not math.isfinite(loss):
+                raise self._diverged(f"a replay loss is {loss!r}")
+            losses.append(loss)
         return float(np.mean(losses))
+
+    def _diverged(self, what: str) -> ValueError:
+        return ValueError(
+            f"training diverged at learning_rate={self.config.learning_rate!r}: {what}"
+        )
 
     def observe_transition(self, transition: Transition, rng: random.Random) -> float | None:
         """Store, replay, and decay; mirrors one decision step of the learner."""
@@ -370,7 +392,10 @@ def train(
     curve = []
     for episode in range(episodes):
         env = FogEnvironment(profile, seed=derive_seed(master_seed, "train-episode", episode))
-        result = run_episode(env, agent, pricing, weights, rng, deployments=deployments)
+        try:
+            result = run_episode(env, agent, pricing, weights, rng, deployments=deployments)
+        except ValueError as exc:
+            raise ValueError(f"episode {episode + 1}: {exc}") from None
         curve.append(result.utility)
     return curve
 
@@ -413,16 +438,18 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
             f"(expected {CHECKPOINT_FORMAT_VERSION}); retrain to write a current checkpoint"
         )
     config = record_from_dict(AgentConfig, data.get("config"), f"{path}.config")
-    agent = DQNAgent(_count(data, "n_actions", 1, path), config)
-    agent.schedule.decays_done = _count(data, "decays_done", 0, path)
-    expected = agent.network.architecture
-    agent.network = QNetwork.from_dict(data.get("network"), f"{path}.network")
-    if agent.network.architecture != expected:
+    n_actions = _count(data, "n_actions", 1, path)
+    decays_done = _count(data, "decays_done", 0, path)
+    network = QNetwork.from_dict(data.get("network"), f"{path}.network")
+    expected = network_architecture(n_actions, config)
+    if network.architecture != expected:
         raise ValueError(
             f"{path}.network.architecture: expected {asdict(expected)} for "
-            f"{len(STATE_FACTORS)} state factors, {agent.n_actions} plans and the "
-            f"checkpoint's config, got {asdict(agent.network.architecture)}"
+            f"{len(STATE_FACTORS)} state factors, {n_actions} plans and the "
+            f"checkpoint's config, got {asdict(network.architecture)}"
         )
+    agent = DQNAgent(n_actions, config, network=network)
+    agent.schedule.decays_done = decays_done
     meta = {
         "profile_name": data.get("profile_name"),
         "provenance": data.get("provenance", {}),

@@ -267,16 +267,19 @@ def _reject_repeats(values: list, what: str) -> None:
 # -- commands ----------------------------------------------------------------
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
-    """Train the learner and emit learning_curve.csv plus a checkpoint."""
+    """Train the learner and emit learning_curve.csv plus a checkpoint.
+
+    The output directory is created only once training has succeeded.
+    """
     profile = cfg.resolved_profile()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(cfg)
     agent = build_agent(cfg, profile)
     curve = train(
         profile, agent, cfg.resolved_episodes(), cfg.pricing, cfg.weights,
         master_seed=cfg.master_seed, deployments=cfg.deployments_per_episode,
     )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "learning_curve.csv"
     _write_csv(
         curve_path, ["episode", "utility"],
@@ -501,8 +504,7 @@ def measure_decision_latency(network, n: int = 10_000, seed: int = 0):
     samples = []
     for row in states:
         t0 = time.perf_counter()
-        q = network.forward(row)
-        int(np.argmax(q))
+        int(network.forward(row).argmax())
         samples.append((time.perf_counter() - t0) * 1000.0)
     return BoxplotStats.from_samples(samples), samples
 

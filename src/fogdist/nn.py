@@ -2,11 +2,15 @@
 
 Forward pass for layer l: z_l = W_l a_{l-1} + b_l, a_l = relu(z_l) on the
 hidden layers and identity on the output.  Training only ever regresses the
-output of a single action toward a scalar target, so the backward pass
-propagates the gradient of (target - q[action])**2 through that one output.
-Plain gradient descent, float64 throughout; parameters serialise to a
-JSON-ready dict whose floats round-trip exactly.  The dict is stored only
-inside an agent checkpoint, which carries the format version.
+output of a single action toward a scalar target, so one backward routine,
+`_backprop`, propagates the gradient of (target - q[action])**2 through that
+one output.  The SGD step and `loss_gradients` both use it: the step moves
+only row `action` of the output weights and that action's output bias, plus
+every hidden layer, and `loss_gradients` spells the same arithmetic out as
+full gradient arrays for the finite-difference checks.  Plain gradient
+descent, float64 throughout; parameters serialise to a JSON-ready dict whose
+floats round-trip exactly.  The dict is stored only inside an agent
+checkpoint, which carries the format version.
 """
 from __future__ import annotations
 
@@ -81,56 +85,71 @@ class QNetwork:
     def forward(self, x) -> np.ndarray:
         """Action values for one state."""
         a = self._check_input(x)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = w @ a + b
-            a = z if i == last else np.maximum(z, 0.0)
-        return a
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            a = np.maximum(w.dot(a) + b, 0.0)
+        return self.weights[-1].dot(a) + self.biases[-1]
 
-    def _forward_trace(self, x: np.ndarray):
-        """Forward pass keeping activations and pre-activations for backprop."""
-        activations = [x]
-        pre = []
-        a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = w @ a + b
-            pre.append(z)
-            a = z if i == last else np.maximum(z, 0.0)
-            activations.append(a)
-        return activations, pre
-
-    def loss_gradients(self, x, action: int, target: float):
-        """Loss (target - q[action])**2 and its gradients w.r.t. all parameters."""
+    def _check_sample(self, x, action: int, target: float) -> np.ndarray:
         x = self._check_input(x)
         if not 0 <= action < self.architecture.output_dim:
             raise ValueError(f"action must lie in [0, {self.architecture.output_dim}), got {action!r}")
         if not math.isfinite(target):
             raise ValueError(f"target must be finite, got {target!r}")
-        activations, pre = self._forward_trace(x)
-        q = activations[-1][action]
-        loss = (target - q) ** 2
+        return x
 
-        # dL/dq_a = 2 (q_a - target); the other outputs do not enter the loss.
-        delta = np.zeros(self.architecture.output_dim)
-        delta[action] = 2.0 * (q - target)
-        grad_w, grad_b = [], []
-        for i in range(len(self.weights) - 1, -1, -1):
-            grad_w.append(np.outer(delta, activations[i]))
-            grad_b.append(delta)
+    def _backprop(self, x: np.ndarray, action: int, target: float):
+        """Forward and backward pass of the single-action loss at the current weights.
+
+        Returns (loss, d, top_input, hidden): d = dL/dq[action] = 2 (q - target),
+        top_input is the output layer's input, and hidden holds, lowest layer
+        first, each hidden layer's (delta, input) with delta = dL/dz.  Only row
+        `action` of the output layer gets a gradient, d * top_input; a hidden
+        layer's weight gradient is outer(delta, input) and its bias gradient delta.
+        """
+        inputs, outputs = [], []
+        a = x
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            inputs.append(a)
+            a = np.maximum(w.dot(a) + b, 0.0)
+            outputs.append(a)
+        # q from the full output product: a row dot product rounds differently.
+        q = (self.weights[-1].dot(a) + self.biases[-1])[action]
+        d = 2.0 * (q - target)
+        hidden = []
+        delta = self.weights[-1][action] * d
+        for i in range(len(outputs) - 1, -1, -1):
+            delta = delta * (outputs[i] > 0)
+            hidden.append((delta, inputs[i]))
             if i > 0:
-                delta = (self.weights[i].T @ delta) * (pre[i - 1] > 0)
-        return loss, grad_w[::-1], grad_b[::-1]
+                delta = delta.dot(self.weights[i])
+        return (target - q) ** 2, d, a, hidden[::-1]
+
+    def loss_gradients(self, x, action: int, target: float):
+        """Loss (target - q[action])**2 and its gradients w.r.t. all parameters."""
+        x = self._check_sample(x, action, target)
+        loss, d, top_input, hidden = self._backprop(x, action, target)
+        grad_w = [delta[:, None] * a for delta, a in hidden]
+        grad_b = [delta for delta, _ in hidden]
+        grad_w.append(np.zeros_like(self.weights[-1]))
+        grad_w[-1][action] = d * top_input
+        grad_b.append(np.zeros_like(self.biases[-1]))
+        grad_b[-1][action] = d
+        return loss, grad_w, grad_b
 
     def sgd_step(self, x, action: int, target: float, learning_rate: float) -> float:
-        """One descent step on the single-action squared error; returns the pre-step loss."""
+        """One descent step on the single-action squared error; returns the pre-step loss.
+
+        Every gradient comes from the weights as they stood before the step.
+        """
         if learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        loss, grad_w, grad_b = self.loss_gradients(x, action, target)
-        for w, gw in zip(self.weights, grad_w):
-            w -= learning_rate * gw
-        for b, gb in zip(self.biases, grad_b):
-            b -= learning_rate * gb
+        x = self._check_sample(x, action, target)
+        loss, d, top_input, hidden = self._backprop(x, action, target)
+        self.weights[-1][action] -= learning_rate * (d * top_input)
+        self.biases[-1][action] -= learning_rate * d
+        for w, b, (delta, a) in zip(self.weights, self.biases, hidden):
+            w -= learning_rate * (delta[:, None] * a)
+            b -= learning_rate * delta
         return float(loss)
 
     # -- serialisation -----------------------------------------------------

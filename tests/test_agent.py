@@ -355,6 +355,18 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["provenance"] == {"episodes": 2}
 
 
+def test_load_checkpoint_builds_no_throwaway_network(tmp_path, monkeypatch):
+    path = tmp_path / "ck.json"
+    save_checkpoint(DQNAgent(n_actions=4, seed=3), path, profile_name="fd")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a fresh network")
+
+    monkeypatch.setattr(QNetwork, "initialize", refuse)
+    restored, _meta = load_checkpoint(path)
+    assert restored.network.to_dict() == json.loads(path.read_text())["network"]
+
+
 def test_load_checkpoint_errors(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(tmp_path / "absent.json")

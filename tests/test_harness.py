@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -348,6 +350,21 @@ def test_training_is_pinned_to_the_bit(profile, episodes):
     assert hashlib.sha256(blob.encode()).hexdigest() == TRAINING_DIGESTS[profile, episodes]
 
 
+# sha256 of utilities_context-aware.csv, config-hash line left out, after a
+# short train + evaluate on fd at seed 2026: the greedy policy's bytes.
+GREEDY_EVALUATION_DIGEST = "a439eb5559383ad7248ed7ce2bf238b6fe1b0ee1733764619df3a91ffeaeae66"
+
+
+def test_greedy_evaluation_is_pinned_to_the_bit(tmp_path):
+    cfg = config_from_dict({"profile": "fd", "master_seed": 2026, "episodes": 30,
+                            "eval_experiments": 20})
+    cmd_train(cfg, tmp_path / "train")
+    cmd_evaluate(cfg, tmp_path / "train" / "checkpoint.json", tmp_path / "eval")
+    text = (tmp_path / "eval" / "utilities_context-aware.csv").read_text()
+    _hash_line, rows = text.split("\n", 1)
+    assert hashlib.sha256(rows.encode()).hexdigest() == GREEDY_EVALUATION_DIGEST
+
+
 def test_cmd_evaluate_outputs(tmp_path):
     cfg = small_config()
     cmd_train(cfg, tmp_path / "train")
@@ -568,6 +585,19 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     bad_cfg.write_text(json.dumps({"unknown_option": 1}))
     assert main(["train", "--config", str(bad_cfg)]) == EXIT_VALIDATION
     assert main(["train", "--config", str(bad_cfg), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_cli_train_reports_divergence_before_writing(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"profile": "ipokemon", "episodes": 50,
+                                    "agent": {"learning_rate": 5.0}}))
+    out_dir = tmp_path / "out"
+    with np.errstate(all="ignore"):             # numpy's overflow warnings
+        code = main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: episode \d+: training diverged at learning_rate=5\.0: .*\n", err)
+    assert not out_dir.exists()
 
 
 MISTYPED_CONFIGS = [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogdist.nn import NetworkArchitecture, QNetwork
 from gradcheck import numeric_gradients
@@ -160,3 +162,44 @@ def test_invalid_training_inputs():
         net.sgd_step(x, 0, float("nan"), 0.01)
     with pytest.raises(ValueError):
         net.sgd_step(x, 0, 0.0, 0.0)
+
+
+@st.composite
+def training_samples(draw):
+    """A random network with mixed-sign biases and one (state, action, target) sample."""
+    arch = NetworkArchitecture(
+        input_dim=draw(st.integers(1, 8)), hidden_layers=draw(st.integers(1, 3)),
+        hidden_width=draw(st.integers(1, 30)), output_dim=draw(st.integers(1, 6)),
+    )
+    net = QNetwork.initialize(arch, seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    for b in net.biases:
+        b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
+    x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=arch.input_dim,
+                               max_size=arch.input_dim)))
+    action = draw(st.integers(0, arch.output_dim - 1))
+    q = float(net.forward(x)[action])
+    target = draw(st.one_of(st.just(q), st.floats(-10.0, 10.0)))
+    return net, x, action, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=training_samples(), learning_rate=st.floats(1e-4, 1.0))
+def test_sgd_step_is_descent_along_loss_gradients(sample, learning_rate):
+    """The step's parameters equal p - lr * g, g from `loss_gradients`, bit for bit."""
+    net, x, action, target = sample
+    loss, grad_w, grad_b = net.loss_gradients(x, action, target)
+    expected = [p - learning_rate * g for p, g in zip(net.weights + net.biases, grad_w + grad_b)]
+    assert net.sgd_step(x, action, target, learning_rate) == loss
+    for after, want in zip(net.weights + net.biases, expected):
+        assert np.array_equal(after, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=training_samples())
+def test_forward_matches_a_matmul_reference_chain(sample):
+    net, x, _, _ = sample
+    a = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(w @ a + b, 0.0)
+    assert np.array_equal(net.forward(x), net.weights[-1] @ a + net.biases[-1])
