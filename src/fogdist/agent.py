@@ -211,7 +211,8 @@ class DQNAgent:
         Runs only once the memory holds strictly more than a minibatch.  All
         targets come from the network as it stands before the pass; the
         per-sample steps then run in order.  A target or loss that is not
-        finite raises a ValueError: training has diverged.
+        finite raises a ValueError: training has diverged.  `sgd_step` checks
+        the loss before it writes, so the network keeps its pre-step weights.
         """
         if len(self.memory) <= self.config.batch_size:
             return None
@@ -221,21 +222,15 @@ class DQNAgent:
         targets = [self.compute_target(transition) for transition in batch]
         for target in targets:
             if not math.isfinite(target):
-                raise self._diverged(f"a replay target is {target!r}")
-        losses = []
-        for transition, target in zip(batch, targets):
-            loss = self.network.sgd_step(
+                raise ValueError(f"training diverged at learning_rate="
+                                 f"{self.config.learning_rate!r}: a replay target is {target!r}")
+        losses = [
+            self.network.sgd_step(
                 transition.state, transition.action, target, self.config.learning_rate
             )
-            if not math.isfinite(loss):
-                raise self._diverged(f"a replay loss is {loss!r}")
-            losses.append(loss)
-        return float(np.mean(losses))
-
-    def _diverged(self, what: str) -> ValueError:
-        return ValueError(
-            f"training diverged at learning_rate={self.config.learning_rate!r}: {what}"
-        )
+            for transition, target in zip(batch, targets)
+        ]
+        return math.fsum(losses) / len(losses)
 
     def observe_transition(self, transition: Transition, rng: random.Random) -> float | None:
         """Store, replay, and decay; mirrors one decision step of the learner."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,17 +133,21 @@ def contended_time(base_s: float, demand_units: float, available_units: float) -
         raise ValueError("base_s must be >= 0")
     if demand_units < 0 or not math.isfinite(available_units):
         raise ValueError("invalid contention inputs")
-    effective = max(available_units, AVAILABILITY_FLOOR)
-    return base_s * max(1.0, demand_units / effective)
+    # Each max() spelled as the comparison max() makes, to save a builtin
+    # call per fog stage and request: the results are the same floats.
+    effective = AVAILABILITY_FLOOR if AVAILABILITY_FLOOR > available_units else available_units
+    stretch = demand_units / effective
+    return base_s * (stretch if stretch > 1.0 else 1.0)
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
+class LatencyBreakdown(NamedTuple):
     """Expected per-request latency of one plan, split by component.
 
     Module times are weighted by the fraction of requests that actually
-    reach the module; ``transmission_s`` covers only the size-proportional
-    uplink part, propagation delay is separate.
+    reach the module, and both module dicts are in pipeline order;
+    ``transmission_s`` covers only the size-proportional uplink part,
+    propagation delay is separate.  A named tuple: immutable, and cheap to
+    build once per simulated request.
     """
 
     fog_modules: int
@@ -175,7 +180,8 @@ def request_latency_breakdown(
     them, down to the final result for the all-on-Fog plan.
     """
     k = fog_modules
-    n = profile.n_modules
+    modules = profile.modules
+    n = len(modules)
     if not 0 <= k <= n:
         raise ValueError(f"fog_modules must lie in [0, {n}], got {k!r}")
     if fog_cloud_delay_s is None:
@@ -188,7 +194,7 @@ def request_latency_breakdown(
     fog_s: dict[str, float] = {}
     cloud_s: dict[str, float] = {}
 
-    for module in profile.modules[:k]:
+    for module in modules[:k]:
         stage = contended_time(module.compute_s, module.demand.cpu_units, available_units)
         fog_s[module.name] = survival * (stage + module.fog_extra_s)
         data *= module.data_out_ratio
@@ -203,18 +209,12 @@ def request_latency_breakdown(
         transmission = survival * transmission_time(data, profile)
         propagation = survival * fog_cloud_delay_s
 
-    for module in profile.modules[k:]:
+    for module in modules[k:]:
         cloud_s[module.name] = survival * module.compute_s
         data *= module.data_out_ratio
         survival *= module.pass_fraction
 
-    return LatencyBreakdown(
-        fog_modules=k,
-        transmission_s=transmission,
-        propagation_s=propagation,
-        fog_module_s=fog_s,
-        cloud_module_s=cloud_s,
-    )
+    return LatencyBreakdown(k, transmission, propagation, fog_s, cloud_s)
 
 
 class FogEnvironment:
@@ -289,8 +289,11 @@ class FogEnvironment:
         dev_cloud_s = float(self.raw_state[_SLOT["delay_dev_cloud"]]) / 1000.0
 
         started = clock.now
-        busy: dict[str, float] = {m.name: 0.0 for m in profile.modules[:k]}
+        # Fog busy time by module position: the breakdown's fog dict is in
+        # module order, so each slot receives the same adds as a by-name sum.
+        busy = [0.0] * k
         uplink_units = 0.0
+        per_unit = profile.uplink_seconds_per_raw_unit
         for _ in range(requests):
             self._sync(clock.now)
             available = CAPACITY_UNITS - self._load()
@@ -298,10 +301,10 @@ class FogEnvironment:
                 profile, k, available_units=available,
                 fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,
             )
-            for name, seconds in parts.fog_module_s.items():
-                busy[name] += seconds
-            uplink_units += parts.transmission_s / profile.uplink_seconds_per_raw_unit \
-                if profile.uplink_seconds_per_raw_unit > 0 else 0.0
+            for i, seconds in enumerate(parts.fog_module_s.values()):
+                busy[i] += seconds
+            if per_unit > 0:
+                uplink_units += parts.transmission_s / per_unit
             clock.advance(parts.total_s)
         duration_s = clock.now - started
         self._sync(clock.now)
@@ -309,8 +312,8 @@ class FogEnvironment:
         usage = ResourceUsage()
         if k > 0 and duration_s > 0:
             cpu = mem = storage = 0.0
-            for module in profile.modules[:k]:
-                frac = busy[module.name] / duration_s
+            for module, seconds in zip(profile.modules, busy):
+                frac = seconds / duration_s
                 cpu += module.demand.cpu_units * frac
                 mem += module.demand.mem_gb * frac
                 storage += module.demand.storage_gb * frac

@@ -140,11 +140,16 @@ class QNetwork:
         """One descent step on the single-action squared error; returns the pre-step loss.
 
         Every gradient comes from the weights as they stood before the step.
+        A pre-step loss that is not finite means training has diverged: the
+        step raises a ValueError before it writes any parameter.
         """
         if learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         x = self._check_sample(x, action, target)
         loss, d, top_input, hidden = self._backprop(x, action, target)
+        if not math.isfinite(loss):
+            raise ValueError(f"training diverged at learning_rate={learning_rate!r}: "
+                             f"a step's loss is {float(loss)!r}")
         self.weights[-1][action] -= learning_rate * (d * top_input)
         self.biases[-1][action] -= learning_rate * d
         for w, b, (delta, a) in zip(self.weights, self.biases, hidden):

@@ -215,7 +215,7 @@ def test_replay_pass_matches_a_snapshot_target_reference(rewards, terminals, bat
             if not t.terminal:
                 target += discount * float(np.max(snapshot.forward(t.next_state)))
             losses.append(reference.sgd_step(t.state, t.action, target, agent.config.learning_rate))
-    assert loss == (float(np.mean(losses)) if losses else None)
+    assert loss == (math.fsum(losses) / len(losses) if losses else None)
     for mine, theirs in zip(agent.network.weights + agent.network.biases,
                             reference.weights + reference.biases):
         assert np.array_equal(mine, theirs)

@@ -1,4 +1,5 @@
 """Environment tests: stress process, latency laws, observation, deployments."""
+import dataclasses
 import hashlib
 import json
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from fogdist.agent import StaticStrategy, simulate_episode
 from fogdist.env import (
+    AVAILABILITY_FLOOR,
     CAPACITY_UNITS,
     STATE_CAPS,
     STATE_FACTORS,
@@ -21,7 +23,9 @@ from fogdist.env import (
     request_latency_breakdown,
     transmission_time,
 )
+from fogdist.model import MAX_CPU_UNITS, DeploymentOutcome, ResourceUsage
 from fogdist.profiles import fd_profile, heavy_profile, ipokemon_profile
+from strategies import application_profiles
 
 
 def factor(vector: np.ndarray, name: str) -> float:
@@ -151,6 +155,15 @@ def test_contended_time_never_speeds_up():
     assert contended_time(0.0, 8.0, 0.5) == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(base_s=st.floats(0.0, 1e6), demand=st.floats(0.0, 8.0) | st.just(float("nan")),
+       available=st.floats(-1.0, 9.0) | st.integers(0, CAPACITY_UNITS))
+def test_contended_time_is_the_max_formula(base_s, demand, available):
+    """The stretch is base * max(1, demand / max(available, floor)), to the bit."""
+    expected = base_s * max(1.0, demand / max(available, AVAILABILITY_FLOOR))
+    assert contended_time(base_s, demand, available) == expected
+
+
 def test_breakdown_video_transmission_chain():
     """The calibrated chain: 2.28, ~0.77, ~0.52, ~0.11 seconds per frame."""
     prof = fd_profile()
@@ -198,6 +211,25 @@ def test_breakdown_slower_when_less_is_available():
 def test_breakdown_rejects_bad_plan():
     with pytest.raises(ValueError):
         request_latency_breakdown(fd_profile(), 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=application_profiles(), available=st.floats(0.0, float(CAPACITY_UNITS)),
+       data=st.data())
+def test_breakdown_total_lies_between_the_idle_and_the_floor_node(profile, available, data):
+    """Fog stages only slow down as units are taken, never below the floor's rate."""
+    k = data.draw(st.integers(0, profile.n_modules))
+    total = request_latency_breakdown(profile, k, available_units=available).total_s
+    idle = request_latency_breakdown(profile, k, available_units=float(CAPACITY_UNITS))
+    floor = request_latency_breakdown(profile, k, available_units=AVAILABILITY_FLOOR)
+    assert idle.total_s <= total <= floor.total_s
+
+
+def test_breakdown_fields_cannot_be_assigned():
+    b = request_latency_breakdown(fd_profile(), 1)
+    for name in b._fields:
+        with pytest.raises(AttributeError):
+            setattr(b, name, 0.0)
 
 
 # -- observation -------------------------------------------------------------
@@ -415,3 +447,87 @@ def test_all_profiles_run_every_plan():
             outcome = env.execute(k, clock)
             assert outcome.duration_s > 0
             assert outcome.requests == prof.requests_per_deployment
+
+
+# -- execute against a by-name reference ---------------------------------------
+
+def reference_execute(env: FogEnvironment, k: int, clock: SimClock) -> DeploymentOutcome:
+    """`FogEnvironment.execute` as a plain loop: one breakdown per request, and
+    fog busy time summed by module name."""
+    profile = env.profile
+    requests = profile.requests_per_deployment
+    fog_cloud_s = float(factor(env.raw_state, "delay_fog_cloud")) / 1000.0
+    dev_cloud_s = float(factor(env.raw_state, "delay_dev_cloud")) / 1000.0
+    started = clock.now
+    busy = {m.name: 0.0 for m in profile.modules[:k]}
+    uplink_units = 0.0
+    for _ in range(requests):
+        env._sync(clock.now)
+        parts = request_latency_breakdown(
+            profile, k, available_units=CAPACITY_UNITS - env._load(),
+            fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,
+        )
+        for name, seconds in parts.fog_module_s.items():
+            busy[name] += seconds
+        uplink_units += parts.transmission_s / profile.uplink_seconds_per_raw_unit \
+            if profile.uplink_seconds_per_raw_unit > 0 else 0.0
+        clock.advance(parts.total_s)
+    duration_s = clock.now - started
+    env._sync(clock.now)
+    usage = ResourceUsage()
+    if k > 0 and duration_s > 0:
+        cpu = mem = storage = 0.0
+        for module in profile.modules[:k]:
+            frac = busy[module.name] / duration_s
+            cpu += module.demand.cpu_units * frac
+            mem += module.demand.mem_gb * frac
+            storage += module.demand.storage_gb * frac
+        usage = ResourceUsage(cpu_units=min(MAX_CPU_UNITS, cpu), mem_gb=mem, storage_gb=storage)
+    env._account_traffic(k, requests, uplink_units)
+    env._deployed_mem_gb = sum(m.demand.mem_gb for m in profile.modules[:k])
+    env._deployed_storage_gb = sum(m.demand.storage_gb for m in profile.modules[:k])
+    return DeploymentOutcome(fog_modules=k, duration_s=duration_s, requests=requests, usage=usage)
+
+
+def deploy_both(profile, seed: int, stressed: bool, plans) -> None:
+    """Run the same plans through `execute` and the reference on twin nodes;
+    every outcome, clock and raw state (the eight traffic counters among them)
+    must agree exactly, errors included."""
+    mine = FogEnvironment(profile, seed=seed, stressed=stressed)
+    theirs = FogEnvironment(profile, seed=seed, stressed=stressed)
+    clock_mine, clock_theirs = SimClock(), SimClock()
+    for k in plans:
+        assert np.array_equal(mine.observe(clock_mine), theirs.observe(clock_theirs))
+        try:
+            expected = reference_execute(theirs, k, clock_theirs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                mine.execute(k, clock_mine)
+            assert str(raised.value) == str(exc)
+        else:
+            assert mine.execute(k, clock_mine) == expected
+        assert clock_mine.now == clock_theirs.now
+        assert np.array_equal(mine.raw_state, theirs.raw_state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=application_profiles(max_seconds=2.0, max_data=10.0, max_requests=60),
+       seed=st.integers(0, 2**32), stressed=st.booleans(), data=st.data())
+def test_execute_matches_the_by_name_reference(profile, seed, stressed, data):
+    plans = data.draw(st.lists(st.integers(0, profile.n_modules), min_size=1, max_size=4))
+    deploy_both(profile, seed, stressed, plans)
+
+
+@settings(max_examples=20, deadline=None)
+@given(profile=application_profiles(max_requests=60), seed=st.integers(0, 2**32), data=st.data())
+def test_execute_and_the_reference_reject_requests_that_take_no_time(profile, seed, data):
+    instant = dataclasses.replace(
+        profile,
+        modules=tuple(dataclasses.replace(m, compute_s=0.0, fog_extra_s=0.0)
+                      for m in profile.modules),
+        uplink_seconds_per_raw_unit=0.0, base_delay_fog_cloud_ms=0.0, base_delay_dev_cloud_ms=0.0,
+    )
+    k = data.draw(st.integers(0, instant.n_modules))
+    with pytest.raises(ValueError, match="duration_s: must be > 0"):
+        reference_execute(FogEnvironment(instant, seed=seed), k, SimClock())
+    deploy_both(instant, seed, True, [k])

@@ -600,6 +600,32 @@ def test_cli_train_reports_divergence_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+
+@pytest.mark.parametrize("seed", [2026, 1])
+def test_a_diverging_step_leaves_the_weights_it_found(seed):
+    """The step whose loss is not finite raises before it writes a parameter."""
+    cfg = config_from_dict({"profile": "ipokemon", "master_seed": seed,
+                            "agent": {"learning_rate": 5.0}})
+    profile = cfg.resolved_profile()
+    agent = build_agent(cfg, profile)
+    network = agent.network
+    step = network.sgd_step
+    before = []
+
+    def snapshot_then_step(*args):
+        before[:] = [p.copy() for p in network.weights + network.biases]
+        return step(*args)
+
+    network.sgd_step = snapshot_then_step
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match=r"training diverged at learning_rate=5\.0: "
+                                            r"a step's loss is (inf|nan)"):
+        train(profile, agent, 50, cfg.pricing, cfg.weights, master_seed=seed)
+    after = network.weights + network.biases
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(after, before))
+    assert all(np.isfinite(p).all() for p in after)
+
+
 MISTYPED_CONFIGS = [
     ({"episodes": 2.5}, "config.episodes"),
     ({"agent": {"batch_size": 2.5}}, "config.agent.batch_size"),

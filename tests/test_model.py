@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogdist.model import (
     DeploymentOutcome,
@@ -72,6 +74,22 @@ def test_deployment_cost_piecewise():
     # split pays both tiers: 0.0132 + 0.000420945 = 0.013620945
     assert split == pytest.approx(0.013620945, rel=REL)
     assert split == pytest.approx(only_cloud + only_fog, rel=REL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ratios=st.lists(st.floats(0.0, 10.0, exclude_min=True), min_size=2, max_size=2),
+    cpu=st.floats(0.0, 8.0), mem=st.floats(0.0, 1e3), storage=st.floats(0.0, 1e3),
+    hours=st.floats(0.0, 1e3), data=st.data(),
+)
+def test_deployment_cost_never_falls_as_the_price_ratio_rises(ratios, cpu, mem, storage,
+                                                               hours, data):
+    n_modules = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, n_modules))
+    usage = ResourceUsage(cpu_units=cpu, mem_gb=mem, storage_gb=storage)
+    low, high = sorted(ratios)
+    assert deployment_cost(k, n_modules, PricingModel(fog_price_ratio=low), usage, hours) \
+        <= deployment_cost(k, n_modules, PricingModel(fog_price_ratio=high), usage, hours)
 
 
 def test_deployment_cost_rejects_out_of_range_plans():

@@ -5,7 +5,6 @@ import typing
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fogdist.env import request_latency_breakdown
 from fogdist.harness import ExperimentConfig, config_from_dict
@@ -21,6 +20,7 @@ from fogdist.profiles import (
     profile_to_dict,
     resolve_profile,
 )
+from strategies import application_profiles
 
 
 def test_builtin_profiles_shapes():
@@ -133,29 +133,6 @@ def test_a_record_check_is_prefixed_with_the_record_path():
     data["modules"][2]["demand"]["cpu_units"] = 9.0
     with pytest.raises(ValueError, match=r"^my.json.modules\[2\].demand: .*cpu_units"):
         profile_from_dict(json.loads(json.dumps(data)), where="my.json")
-
-
-@st.composite
-def application_profiles(draw):
-    """Valid profiles with every field drawn: distinct module names, and module
-    cpu demand summing to at most 8."""
-    seconds = st.floats(0.0, 1e3)
-    share = st.floats(0.0, 1.0, exclude_min=True)
-    modules = tuple(
-        ModuleProfile(
-            name=name, compute_s=draw(seconds), fog_extra_s=draw(seconds),
-            data_out_ratio=draw(share), pass_fraction=draw(share),
-            demand=ResourceUsage(draw(st.floats(0.0, 2.0)), draw(seconds), draw(seconds)),
-        )
-        for name in draw(st.lists(st.text(min_size=1), min_size=1, max_size=4, unique=True))
-    )
-    return ApplicationProfile(
-        name=draw(st.text(min_size=1)), modules=modules,
-        raw_request_data=draw(st.floats(1e-6, 1e6)),
-        requests_per_deployment=draw(st.integers(1, 10_000)),
-        uplink_seconds_per_raw_unit=draw(seconds),
-        base_delay_fog_cloud_ms=draw(seconds), base_delay_dev_cloud_ms=draw(seconds),
-    )
 
 
 @settings(max_examples=60, deadline=None)
