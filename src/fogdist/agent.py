@@ -9,6 +9,8 @@ reward + discount * max of the network on the successor state, with all of
 the pass's targets computed before its first step, and the exploration
 rate decays one notch.  `AgentConfig` holds every setting, the exploration
 schedule's included; `EpsilonSchedule` is the run state built from it.
+A checkpoint stores the network's parameters next to the `n_actions` and
+`config` its architecture follows from, and nowhere else.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .nn import NetworkArchitecture, QNetwork
 from .profiles import ApplicationProfile, read_json_file, record_from_dict, typed_value
 from .seeding import derive_seed
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 DEPLOYMENTS_PER_EPISODE = 20
 
 
@@ -53,7 +55,6 @@ class ReplayMemory:
     def __init__(self, capacity: int = 2000):
         if capacity < 1:
             raise ValueError("replay capacity must be >= 1")
-        self.capacity = capacity
         self._items: deque[Transition] = deque(maxlen=capacity)
 
     def remember(self, transition: Transition) -> None:
@@ -435,14 +436,9 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
     config = record_from_dict(AgentConfig, data.get("config"), f"{path}.config")
     n_actions = _count(data, "n_actions", 1, path)
     decays_done = _count(data, "decays_done", 0, path)
-    network = QNetwork.from_dict(data.get("network"), f"{path}.network")
-    expected = network_architecture(n_actions, config)
-    if network.architecture != expected:
-        raise ValueError(
-            f"{path}.network.architecture: expected {asdict(expected)} for "
-            f"{len(STATE_FACTORS)} state factors, {n_actions} plans and the "
-            f"checkpoint's config, got {asdict(network.architecture)}"
-        )
+    network = QNetwork.from_dict(
+        data.get("network"), network_architecture(n_actions, config), f"{path}.network"
+    )
     agent = DQNAgent(n_actions, config, network=network)
     agent.schedule.decays_done = decays_done
     meta = {

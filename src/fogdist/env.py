@@ -150,7 +150,6 @@ class LatencyBreakdown(NamedTuple):
     build once per simulated request.
     """
 
-    fog_modules: int
     transmission_s: float
     propagation_s: float
     fog_module_s: dict[str, float]
@@ -214,7 +213,7 @@ def request_latency_breakdown(
         data *= module.data_out_ratio
         survival *= module.pass_fraction
 
-    return LatencyBreakdown(k, transmission, propagation, fog_s, cloud_s)
+    return LatencyBreakdown(transmission, propagation, fog_s, cloud_s)
 
 
 class FogEnvironment:
@@ -230,9 +229,8 @@ class FogEnvironment:
     the last delay samples.
     """
 
-    def __init__(self, profile: ApplicationProfile, seed: int = 0, stressed: bool = True):
+    def __init__(self, profile: ApplicationProfile, seed: int = 0):
         self.profile = profile
-        self.stressed = stressed
         self.stress = StressProcess(derive_seed(seed, "stress"))
         self._sensor_rng = random.Random(derive_seed(seed, "sensor"))
         # Memory and storage demand of the modules currently on the node.
@@ -251,16 +249,13 @@ class FogEnvironment:
         if dt > 0:
             self.stress.advance(dt)
 
-    def _load(self) -> int:
-        return self.stress.load if self.stressed else 0
-
     # -- public API --------------------------------------------------------
 
     def observe(self, clock: SimClock) -> np.ndarray:
         """Sample the node at the clock's current time; returns the normalized
         state: each factor divided by its cap and clipped to [0, 1]."""
         self._sync(clock.now)
-        load = self._load()
+        load = self.stress.load
         raw = self.raw_state
         mem_claim = UNIT_MEM_GB * load + self._deployed_mem_gb
         raw[_SLOT["cpu_util"]] = load / CAPACITY_UNITS
@@ -296,7 +291,7 @@ class FogEnvironment:
         per_unit = profile.uplink_seconds_per_raw_unit
         for _ in range(requests):
             self._sync(clock.now)
-            available = CAPACITY_UNITS - self._load()
+            available = CAPACITY_UNITS - self.stress.load
             parts = request_latency_breakdown(
                 profile, k, available_units=available,
                 fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,

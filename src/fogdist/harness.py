@@ -435,7 +435,7 @@ class CalibrationCheck:
 @dataclass(frozen=True)
 class CalibrationReport:
     profile_name: str
-    breakdowns: tuple
+    breakdowns: tuple           # plan k's breakdown at index k
     checks: tuple[CalibrationCheck, ...]
 
     @property
@@ -444,11 +444,11 @@ class CalibrationReport:
 
     def lines(self) -> list[str]:
         out = [f"profile: {self.profile_name}"]
-        for b in self.breakdowns:
+        for k, b in enumerate(self.breakdowns):
             modules = {**b.fog_module_s, **b.cloud_module_s}
             module_text = ", ".join(f"{name}={seconds:.6f}s" for name, seconds in modules.items())
             out.append(
-                f"plan fog={b.fog_modules}: transmission={b.transmission_s:.5f}s "
+                f"plan fog={k}: transmission={b.transmission_s:.5f}s "
                 f"propagation={b.propagation_s:.5f}s total={b.total_s:.5f}s [{module_text}]"
             )
         for c in self.checks:

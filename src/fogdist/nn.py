@@ -2,20 +2,20 @@
 
 Forward pass for layer l: z_l = W_l a_{l-1} + b_l, a_l = relu(z_l) on the
 hidden layers and identity on the output.  Training only ever regresses the
-output of a single action toward a scalar target, so one backward routine,
-`_backprop`, propagates the gradient of (target - q[action])**2 through that
-one output.  The SGD step and `loss_gradients` both use it: the step moves
+output of a single action toward a scalar target: `_forward_sample` gives
+its loss (target - q[action])**2 and `_hidden_deltas` propagates its
+gradient.  The SGD step checks the loss before any gradient, then moves
 only row `action` of the output weights and that action's output bias, plus
-every hidden layer, and `loss_gradients` spells the same arithmetic out as
-full gradient arrays for the finite-difference checks.  Plain gradient
-descent, float64 throughout; parameters serialise to a JSON-ready dict whose
+every hidden layer; `loss_gradients` spells the same arithmetic out as full
+gradient arrays for the finite-difference checks.  Plain gradient descent,
+float64 throughout; weights and biases serialise to a JSON-ready dict whose
 floats round-trip exactly.  The dict is stored only inside an agent
-checkpoint, which carries the format version.
+checkpoint, which also holds what the architecture follows from.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class NetworkArchitecture:
 class _SerialisedNetwork:
     """The JSON form of a `QNetwork`, as `record_from_dict` type-checks it."""
 
-    architecture: NetworkArchitecture
     weights: tuple[tuple[tuple[float, ...], ...], ...]
     biases: tuple[tuple[float, ...], ...]
 
@@ -53,11 +52,15 @@ class QNetwork:
     def __init__(self, architecture: NetworkArchitecture,
                  weights: list[np.ndarray], biases: list[np.ndarray]):
         sizes = architecture.layer_sizes()
-        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
-            raise ValueError("parameter count does not match the architecture")
+        layers = len(sizes) - 1
+        if len(weights) != layers or len(biases) != layers:
+            raise ValueError(f"expected {layers} weight matrices and bias vectors, "
+                             f"got {len(weights)} and {len(biases)}")
         for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
-                raise ValueError(f"layer {i}: parameter shapes do not match the architecture")
+            shapes = ((sizes[i + 1], sizes[i]), (sizes[i + 1],))
+            if (w.shape, b.shape) != shapes:
+                raise ValueError(f"layer {i}: expected weight and bias shapes {shapes}, "
+                                 f"got {(w.shape, b.shape)}")
         self.architecture = architecture
         self.weights = weights
         self.biases = biases
@@ -97,41 +100,52 @@ class QNetwork:
             raise ValueError(f"target must be finite, got {target!r}")
         return x
 
-    def _backprop(self, x: np.ndarray, action: int, target: float):
-        """Forward and backward pass of the single-action loss at the current weights.
+    def _forward_sample(self, x: np.ndarray, action: int, target: float):
+        """Forward pass at the current weights: (loss, q[action], layers).
 
-        Returns (loss, d, top_input, hidden): d = dL/dq[action] = 2 (q - target),
-        top_input is the output layer's input, and hidden holds, lowest layer
-        first, each hidden layer's (delta, input) with delta = dL/dz.  Only row
-        `action` of the output layer gets a gradient, d * top_input; a hidden
-        layer's weight gradient is outer(delta, input) and its bias gradient delta.
+        Loss and q are Python floats, so a loss beyond float64 reads inf with
+        no numpy warning; layers holds each hidden layer's (input, output),
+        lowest layer first.
         """
-        inputs, outputs = [], []
+        layers = []
         a = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            inputs.append(a)
-            a = np.maximum(w.dot(a) + b, 0.0)
-            outputs.append(a)
+            out = np.maximum(w.dot(a) + b, 0.0)
+            layers.append((a, out))
+            a = out
         # q from the full output product: a row dot product rounds differently.
-        q = (self.weights[-1].dot(a) + self.biases[-1])[action]
-        d = 2.0 * (q - target)
+        q = float((self.weights[-1].dot(a) + self.biases[-1])[action])
+        diff = target - q
+        return diff * diff, q, layers
+
+    def _hidden_deltas(self, action: int, d: float, layers) -> list:
+        """Backward pass from d = dL/dq[action] = 2 (q - target).
+
+        Returns, lowest layer first, each hidden layer's (delta, input) with
+        delta = dL/dz.  Only row `action` of the output layer gets a
+        gradient, d times the top hidden output; a hidden layer's weight
+        gradient is outer(delta, input) and its bias gradient delta.
+        """
         hidden = []
         delta = self.weights[-1][action] * d
-        for i in range(len(outputs) - 1, -1, -1):
-            delta = delta * (outputs[i] > 0)
-            hidden.append((delta, inputs[i]))
+        for i in range(len(layers) - 1, -1, -1):
+            a, out = layers[i]
+            delta = delta * (out > 0)
+            hidden.append((delta, a))
             if i > 0:
                 delta = delta.dot(self.weights[i])
-        return (target - q) ** 2, d, a, hidden[::-1]
+        return hidden[::-1]
 
     def loss_gradients(self, x, action: int, target: float):
         """Loss (target - q[action])**2 and its gradients w.r.t. all parameters."""
         x = self._check_sample(x, action, target)
-        loss, d, top_input, hidden = self._backprop(x, action, target)
+        loss, q, layers = self._forward_sample(x, action, target)
+        d = 2.0 * (q - target)
+        hidden = self._hidden_deltas(action, d, layers)
         grad_w = [delta[:, None] * a for delta, a in hidden]
         grad_b = [delta for delta, _ in hidden]
         grad_w.append(np.zeros_like(self.weights[-1]))
-        grad_w[-1][action] = d * top_input
+        grad_w[-1][action] = d * layers[-1][1]
         grad_b.append(np.zeros_like(self.biases[-1]))
         grad_b[-1][action] = d
         return loss, grad_w, grad_b
@@ -141,41 +155,44 @@ class QNetwork:
 
         Every gradient comes from the weights as they stood before the step.
         A pre-step loss that is not finite means training has diverged: the
-        step raises a ValueError before it writes any parameter.
+        step raises a ValueError before any gradient or parameter write.
         """
         if learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         x = self._check_sample(x, action, target)
-        loss, d, top_input, hidden = self._backprop(x, action, target)
+        loss, q, layers = self._forward_sample(x, action, target)
         if not math.isfinite(loss):
             raise ValueError(f"training diverged at learning_rate={learning_rate!r}: "
-                             f"a step's loss is {float(loss)!r}")
-        self.weights[-1][action] -= learning_rate * (d * top_input)
+                             f"a step's loss is {loss!r}")
+        d = 2.0 * (q - target)
+        hidden = self._hidden_deltas(action, d, layers)
+        self.weights[-1][action] -= learning_rate * (d * layers[-1][1])
         self.biases[-1][action] -= learning_rate * d
         for w, b, (delta, a) in zip(self.weights, self.biases, hidden):
             w -= learning_rate * (delta[:, None] * a)
             b -= learning_rate * delta
-        return float(loss)
+        return loss
 
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The parameters only: the architecture is the caller's to record."""
         return {
-            "architecture": asdict(self.architecture),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
 
     @classmethod
-    def from_dict(cls, data: dict, where: str = "network") -> "QNetwork":
-        """Rebuild a network from `to_dict` output: every value type-checked,
-        and finite parameters of the shapes the architecture asks for.  Every
-        error is a ValueError naming ``where``."""
+    def from_dict(cls, data: dict, architecture: NetworkArchitecture,
+                  where: str = "network") -> "QNetwork":
+        """Rebuild a network of `architecture` from `to_dict` output: every
+        value type-checked, and finite parameters of the shapes the
+        architecture asks for.  Every error is a ValueError naming ``where``."""
         read = record_from_dict(_SerialisedNetwork, data, where)
         try:
             weights = [np.array(w, dtype=np.float64) for w in read.weights]
             biases = [np.array(b, dtype=np.float64) for b in read.biases]
-            network = cls(read.architecture, weights, biases)
+            network = cls(architecture, weights, biases)
         except (ValueError, OverflowError) as exc:   # overflow: an integer beyond float64
             raise ValueError(f"{where}: malformed parameters ({exc})") from None
         if not all(np.isfinite(p).all() for p in weights + biases):

@@ -374,7 +374,7 @@ def test_load_checkpoint_errors(tmp_path):
     bad.write_text('{"format_version": 99, "kind": "fogdist-agent"}')
     with pytest.raises(ValueError):
         load_checkpoint(bad)
-    bad.write_text('{"format_version": 3, "kind": "fogdist-agent", "n_actions": 4}')
+    bad.write_text('{"format_version": 4, "kind": "fogdist-agent", "n_actions": 4}')
     with pytest.raises(ValueError, match=r"bad\.json\.config: expected an object, got null"):
         load_checkpoint(bad)
 
@@ -392,21 +392,26 @@ def test_checkpoint_format_1_is_rejected_with_a_retrain_hint(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_format_2_is_rejected_with_a_retrain_hint(tmp_path):
+@pytest.mark.parametrize("version", [2, 3])
+def test_checkpoint_formats_2_and_3_are_rejected_with_a_retrain_hint(tmp_path, version):
     agent = DQNAgent(n_actions=4, seed=2)
-    path = tmp_path / "v2.json"
+    path = tmp_path / f"v{version}.json"
     save_checkpoint(agent, path, profile_name="fd")
     data = json.loads(path.read_text())
-    assert "schedule" not in data and "format_version" not in data["network"]
-    config = data["config"]
-    data["format_version"] = 2
-    data["schedule"] = {
-        "start": config.pop("epsilon_start"), "floor": config.pop("epsilon_floor"),
-        "decay": config.pop("epsilon_decay"), "decays_done": data.pop("decays_done"),
+    assert "schedule" not in data and set(data["network"]) == {"weights", "biases"}
+    data["format_version"] = version
+    data["network"]["architecture"] = {
+        "input_dim": 19, "hidden_layers": 2, "hidden_width": 24, "output_dim": 4,
     }
-    data["network"]["format_version"] = 1
+    if version == 2:
+        config = data["config"]
+        data["schedule"] = {
+            "start": config.pop("epsilon_start"), "floor": config.pop("epsilon_floor"),
+            "decay": config.pop("epsilon_decay"), "decays_done": data.pop("decays_done"),
+        }
+        data["network"]["format_version"] = 1
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="format version 2 .*retrain"):
+    with pytest.raises(ValueError, match=f"format version {version} .*retrain"):
         load_checkpoint(path)
 
 

@@ -43,6 +43,26 @@ def assert_valid_state(raw: np.ndarray) -> None:
     assert np.all(raw >= 0)
 
 
+class IdleStress:
+    """A stand-in stress process that never occupies a unit: time passes and
+    the load stays 0."""
+
+    def __init__(self):
+        self.elapsed_s = 0.0
+        self.load = 0
+
+    def advance(self, dt: float) -> None:
+        self.elapsed_s += dt
+
+
+def idle_node(profile, seed: int) -> FogEnvironment:
+    """A node with no background load; its sensor stream is the seed's own,
+    since the sensor RNG is separate from the stress RNG."""
+    env = FogEnvironment(profile, seed=seed)
+    env.stress = IdleStress()
+    return env
+
+
 # -- stress process ----------------------------------------------------------
 
 def test_stress_load_range_and_initial_draw():
@@ -235,7 +255,7 @@ def test_breakdown_fields_cannot_be_assigned():
 # -- observation -------------------------------------------------------------
 
 def test_observe_unstressed_node_is_idle():
-    env = FogEnvironment(fd_profile(), seed=1, stressed=False)
+    env = idle_node(fd_profile(), seed=1)
     env.observe(SimClock())
     assert_valid_state(env.raw_state)
     assert factor(env.raw_state, "cpu_util") == 0.0
@@ -255,7 +275,7 @@ def test_observe_cpu_util_is_load_over_capacity():
 def test_observe_memory_tracks_stress_and_deployment():
     """mem_used = 0.25 GB per stressed unit plus the deployed modules' demand."""
     prof = fd_profile()
-    env = FogEnvironment(prof, seed=2, stressed=False)
+    env = idle_node(prof, seed=2)
     clock = SimClock()
     env.execute(3, clock)
     env.observe(clock)
@@ -381,7 +401,7 @@ def test_execute_is_deterministic_for_a_seed():
 
 def test_execute_usage_piecewise():
     """Plan 0 touches no fog resources; the full plan engages every module."""
-    env = FogEnvironment(fd_profile(), seed=1, stressed=False)
+    env = idle_node(fd_profile(), seed=1)
     clock = SimClock()
     cloud_only = env.execute(0, clock)
     assert cloud_only.usage.cpu_units == 0.0
@@ -396,7 +416,7 @@ def test_execute_usage_piecewise():
 def test_execute_duration_matches_breakdown_when_unstressed():
     """20 frames, no stress, constant delays -> duration = 20 x per-frame total."""
     prof = fd_profile()
-    env = FogEnvironment(prof, seed=9, stressed=False)
+    env = idle_node(prof, seed=9)
     clock = SimClock()
     env.observe(clock)  # fixes the delay samples used by the deployment
     b = request_latency_breakdown(
@@ -431,7 +451,7 @@ def test_stress_trajectory_ignores_actions():
 def test_stressed_deployments_take_longer_on_busy_nodes():
     """The heavy profile demands the whole node, so any load stretches it."""
     prof = heavy_profile()
-    idle = FogEnvironment(prof, seed=3, stressed=False)
+    idle = idle_node(prof, seed=3)
     outcome_idle = idle.execute(1, SimClock())
     seed = next(s for s in range(100) if FogEnvironment(prof, seed=s).stress.load > 0)
     busy = FogEnvironment(prof, seed=seed)
@@ -464,7 +484,7 @@ def reference_execute(env: FogEnvironment, k: int, clock: SimClock) -> Deploymen
     for _ in range(requests):
         env._sync(clock.now)
         parts = request_latency_breakdown(
-            profile, k, available_units=CAPACITY_UNITS - env._load(),
+            profile, k, available_units=CAPACITY_UNITS - env.stress.load,
             fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,
         )
         for name, seconds in parts.fog_module_s.items():
@@ -493,8 +513,8 @@ def deploy_both(profile, seed: int, stressed: bool, plans) -> None:
     """Run the same plans through `execute` and the reference on twin nodes;
     every outcome, clock and raw state (the eight traffic counters among them)
     must agree exactly, errors included."""
-    mine = FogEnvironment(profile, seed=seed, stressed=stressed)
-    theirs = FogEnvironment(profile, seed=seed, stressed=stressed)
+    node = FogEnvironment if stressed else idle_node
+    mine, theirs = node(profile, seed=seed), node(profile, seed=seed)
     clock_mine, clock_theirs = SimClock(), SimClock()
     for k in plans:
         assert np.array_equal(mine.observe(clock_mine), theirs.observe(clock_theirs))

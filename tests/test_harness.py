@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -305,15 +306,15 @@ def test_cmd_train_outputs(tmp_path):
     assert (tmp_path / "checkpoint.json").exists()
 
 
-def test_train_checkpoint_is_format_3_with_the_weights_in_provenance(tmp_path):
+def test_train_checkpoint_is_format_4_with_the_weights_in_provenance(tmp_path):
     cfg = small_config(weights=UtilityWeights(qos_weight=0.0, cost_weight=-2.0))
     artifacts = cmd_train(cfg, tmp_path)
     data = json.loads((tmp_path / "checkpoint.json").read_text())
-    assert data["format_version"] == 3
+    assert data["format_version"] == 4
     assert "target_network" not in data and "schedule" not in data
     assert data["config"] == dataclasses.asdict(cfg.agent)     # epsilon_* included
     assert type(data["decays_done"]) is int and data["decays_done"] > 0
-    assert set(data["network"]) == {"architecture", "weights", "biases"}
+    assert set(data["network"]) == {"weights", "biases"}
     assert data["provenance"] == {
         "config_hash": artifacts.config_hash, "master_seed": 99,
         "weights": {"qos_weight": 0.0, "cost_weight": -2.0},
@@ -592,7 +593,8 @@ def test_cli_train_reports_divergence_before_writing(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"profile": "ipokemon", "episodes": 50,
                                     "agent": {"learning_rate": 5.0}}))
     out_dir = tmp_path / "out"
-    with np.errstate(all="ignore"):             # numpy's overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # a numpy overflow warning fails the test
         code = main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -601,9 +603,10 @@ def test_cli_train_reports_divergence_before_writing(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("seed", [2026, 1])
+@pytest.mark.parametrize("seed", [2026, 1, 2, 3, 7])
 def test_a_diverging_step_leaves_the_weights_it_found(seed):
-    """The step whose loss is not finite raises before it writes a parameter."""
+    """The step whose loss is not finite raises before it writes a parameter,
+    and before it computes anything that numpy would warn about."""
     cfg = config_from_dict({"profile": "ipokemon", "master_seed": seed,
                             "agent": {"learning_rate": 5.0}})
     profile = cfg.resolved_profile()
@@ -617,9 +620,10 @@ def test_a_diverging_step_leaves_the_weights_it_found(seed):
         return step(*args)
 
     network.sgd_step = snapshot_then_step
-    with np.errstate(all="ignore"), \
+    with warnings.catch_warnings(), \
             pytest.raises(ValueError, match=r"training diverged at learning_rate=5\.0: "
                                             r"a step's loss is (inf|nan)"):
+        warnings.simplefilter("error")
         train(profile, agent, 50, cfg.pricing, cfg.weights, master_seed=seed)
     after = network.weights + network.biases
     assert all(np.array_equal(mine, theirs) for mine, theirs in zip(after, before))
@@ -676,12 +680,6 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
     assert not out_dir.exists()
 
 
-def _fd_network(**arch) -> dict:
-    """A well-formed serialised network with fd's sizes, some overridden."""
-    sizes = {"input_dim": 19, "output_dim": fd_profile().n_modules + 1, **arch}
-    return QNetwork.initialize(NetworkArchitecture(**sizes), seed=0).to_dict()
-
-
 @pytest.mark.parametrize("section, key, value, message", [
     ("network", None, 5, ".network: expected an object, got 5"),
     ("config", "carry_next_state", "no", ".config.carry_next_state: expected true/false"),
@@ -694,13 +692,15 @@ def _fd_network(**arch) -> dict:
     ("n_actions", None, 4.0, ".n_actions: expected an integer, got 4.0"),
     ("n_actions", None, True, ".n_actions: expected an integer, got true"),
     ("n_actions", None, 0, ".n_actions: must be >= 1, got 0"),
-    ("network", "architecture.hidden_width", 24.0,
-     ".network.architecture.hidden_width: expected an integer, got 24.0"),
-    ("network", None, _fd_network(input_dim=18),
-     ".network.architecture: expected {'input_dim': 19, "),
-    ("network", None, _fd_network(output_dim=3),
-     ".network.architecture: expected {'input_dim': 19, 'hidden_layers': 2, "
-     "'hidden_width': 24, 'output_dim': 4} for 19 state factors, 4 plans"),
+    # Weights that do not fit the architecture the n_actions and config ask for.
+    ("config", "hidden_width", 16, ".network: malformed parameters (layer 0: expected weight "
+     "and bias shapes ((16, 19), (16,)), got ((24, 19), (24,)))"),
+    ("network", "weights.0", [[0.0] * 20] * 24, ".network: malformed parameters (layer 0: "
+     "expected weight and bias shapes ((24, 19), (24,)), got ((24, 20), (24,)))"),
+    ("n_actions", None, 3, ".network: malformed parameters (layer 2: expected weight "
+     "and bias shapes ((3, 24), (3,)), got ((4, 24), (4,)))"),
+    ("config", "hidden_layers", 3, ".network: malformed parameters (expected 4 weight "
+     "matrices and bias vectors, got 3 and 3)"),
     ("network", "weights.0.0.0", float("nan"), ".network: weights and biases must be finite"),
     ("network", "biases.2.0", float("inf"), ".network: weights and biases must be finite"),
     ("network", "weights.1", [[0.5]], ".network: malformed parameters (layer 1: "),
@@ -709,11 +709,13 @@ def _fd_network(**arch) -> dict:
     ("network", "biases.1.3", "0.5", ".network.biases[1][3]: expected a number, got \"0.5\""),
     ("network", "weights.2.1", 0.5, ".network.weights[2][1]: expected a list, got 0.5"),
     ("network", "format_version", 1, ".network: unknown key(s) ['format_version']"),
+    ("network", "architecture", {}, ".network: unknown key(s) ['architecture']"),
 ], ids=["network", "carry_next_state", "hidden_width", "epsilon_floor", "decays_done",
         "decays_done-float", "decays_done-bool", "decays_done-negative", "n_actions-float",
         "n_actions-bool", "n_actions-zero", "network-hidden_width", "input_dim", "output_dim",
+        "hidden_layers-misfit",
         "nan-weight", "inf-bias", "weight-shape", "int-overflow-weight", "bool-weight", "string-bias", "flat-weight-row",
-        "network-format_version"])
+        "network-format_version", "network-architecture"])
 def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys,
                                                     section, key, value, message):
     train_dir = tmp_path / "train"
@@ -736,6 +738,25 @@ def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}") and message in err and err.count("\n") == 1
     assert not eval_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["sweep", "--ratios", "0.1"], ["latency", "--samples", "10"]],
+                         ids=["sweep", "latency"])
+def test_cli_commands_refuse_weights_that_do_not_fit(tmp_path, cli_config, capsys, command):
+    train_dir = tmp_path / "train"
+    assert main(["train", "--config", str(cli_config), "--out-dir", str(train_dir)]) == EXIT_OK
+    ckpt = train_dir / "checkpoint.json"
+    data = json.loads(ckpt.read_text())
+    data["config"]["hidden_width"] = 16
+    ckpt.write_text(json.dumps(data))
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main([*command, "--config", str(cli_config), "--checkpoint", str(ckpt),
+                 "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (f"error: {ckpt}.network: malformed parameters (layer 0: expected weight "
+                   "and bias shapes ((16, 19), (16,)), got ((24, 19), (24,)))\n")
+    assert not out_dir.exists()
 
 
 def test_cli_names_a_checkpoint_that_is_not_json(tmp_path, cli_config, capsys):

@@ -1,6 +1,7 @@
 """Every imported name is used: a stdlib `ast` scan of the package and the tests.
 
-The package's `__init__.py` is skipped, since its imports are the re-exports.
+The package's `__init__.py` is scanned too, so a list of re-exports that
+nothing reads cannot grow back there.
 """
 import ast
 from pathlib import Path
@@ -9,8 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
-    [p for p in (ROOT / "src" / "fogdist").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    list((ROOT / "src" / "fogdist").glob("*.py")) + list((ROOT / "tests").glob("*.py"))
 )
 
 

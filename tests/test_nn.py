@@ -125,7 +125,7 @@ def test_argmax_invariant_to_constant_output_shift():
     for _ in range(30):
         x = rng.uniform(0, 1, 5)
         base = int(np.argmax(net.forward(x)))
-        shifted = QNetwork.from_dict(net.to_dict())
+        shifted = QNetwork.from_dict(net.to_dict(), net.architecture)
         shifted.biases[-1] += 10.0
         assert int(np.argmax(shifted.forward(x))) == base
 
@@ -134,7 +134,7 @@ def test_save_load_round_trip():
     """Parameters survive a trip through JSON text exactly."""
     net = QNetwork.initialize(small_arch(), seed=13)
     net.sgd_step(np.full(5, 0.3), 1, 2.0, 0.05)
-    loaded = QNetwork.from_dict(json.loads(json.dumps(net.to_dict())))
+    loaded = QNetwork.from_dict(json.loads(json.dumps(net.to_dict())), small_arch())
     x = np.full(5, 0.8)
     assert np.array_equal(net.forward(x), loaded.forward(x))
     assert loaded.architecture == net.architecture
@@ -145,12 +145,12 @@ def test_save_load_round_trip():
 def test_from_dict_rejects_unknown_and_missing_keys():
     """The checkpoint carries the format version; a network section has none."""
     data = QNetwork.initialize(small_arch(), seed=14).to_dict()
-    assert set(data) == {"architecture", "weights", "biases"}
+    assert set(data) == {"weights", "biases"}
     with pytest.raises(ValueError, match=r"^network: unknown key\(s\) \['format_version'\]"):
-        QNetwork.from_dict({**data, "format_version": 1})
+        QNetwork.from_dict({**data, "format_version": 1}, small_arch())
     del data["biases"]
     with pytest.raises(ValueError, match=r"^network: missing key\(s\) \['biases'\]"):
-        QNetwork.from_dict(data)
+        QNetwork.from_dict(data, small_arch())
 
 
 def test_invalid_training_inputs():
