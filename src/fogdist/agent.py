@@ -7,8 +7,9 @@ holds more than a minibatch, runs one replay pass per deployment: every
 sampled transition contributes a single-action gradient step toward
 reward + discount * max of the network on the successor state, with all of
 the pass's targets computed before its first step, and the exploration
-rate decays one notch.  `AgentConfig` holds every setting, the exploration
-schedule's included; `EpsilonSchedule` is the run state built from it.
+rate decays one notch.  `AgentConfig` holds and checks every setting, so
+its errors name the keys (`epsilon_*`, `hidden_*`, ...); the agent's
+decay count is its only exploration state.
 A checkpoint stores the network's parameters next to the `n_actions` and
 `config` its architecture follows from, and nowhere else.
 """
@@ -52,9 +53,7 @@ class Transition:
 class ReplayMemory:
     """Bounded FIFO of transitions with uniform sampling."""
 
-    def __init__(self, capacity: int = 2000):
-        if capacity < 1:
-            raise ValueError("replay capacity must be >= 1")
+    def __init__(self, capacity: int):
         self._items: deque[Transition] = deque(maxlen=capacity)
 
     def remember(self, transition: Transition) -> None:
@@ -68,39 +67,6 @@ class ReplayMemory:
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-@dataclass
-class EpsilonSchedule:
-    """Multiplicative exploration decay with a floor.
-
-    After t decays the rate is exactly max(floor, start * decay**t); the
-    schedule tracks the decay count and evaluates that closed form, which
-    keeps long runs free of accumulated rounding.
-    """
-
-    start: float = 1.0
-    floor: float = 0.01
-    decay: float = 0.99
-    decays_done: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.floor <= self.start <= 1:
-            raise ValueError("need 0 <= floor <= start <= 1")
-        if not 0 < self.decay < 1:
-            raise ValueError("decay must lie in (0, 1)")
-        if self.decays_done < 0:
-            raise ValueError("decays_done must be >= 0")
-
-    @property
-    def epsilon(self) -> float:
-        return max(self.floor, self.start * self.decay ** self.decays_done)
-
-    def step(self) -> float:
-        """Apply one decay (no-op once the floor is reached) and return the rate."""
-        if self.epsilon > self.floor:
-            self.decays_done += 1
-        return self.epsilon
 
 
 @dataclass(frozen=True)
@@ -117,24 +83,22 @@ class AgentConfig:
     # own state as successor.
     carry_next_state: bool = True
     # The exploration schedule: rate max(floor, start * decay**t) after t decays.
-    epsilon_start: float = EpsilonSchedule.start
-    epsilon_floor: float = EpsilonSchedule.floor
-    epsilon_decay: float = EpsilonSchedule.decay
+    epsilon_start: float = 1.0
+    epsilon_floor: float = 0.01
+    epsilon_decay: float = 0.99
 
     def __post_init__(self):
         if not 0 <= self.discount < 1:
             raise ValueError("discount must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.replay_capacity < 1:
-            raise ValueError("replay_capacity must be >= 1")
-        self.initial_schedule()         # raises the schedule's own errors
-
-    def initial_schedule(self) -> EpsilonSchedule:
-        """A fresh exploration schedule with these settings."""
-        return EpsilonSchedule(self.epsilon_start, self.epsilon_floor, self.epsilon_decay)
+        for name in ("batch_size", "replay_capacity", "hidden_layers", "hidden_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.epsilon_floor <= self.epsilon_start <= 1:
+            raise ValueError("need 0 <= epsilon_floor <= epsilon_start <= 1")
+        if not 0 < self.epsilon_decay < 1:
+            raise ValueError("epsilon_decay must lie in (0, 1)")
 
 
 def network_architecture(n_actions: int, config: AgentConfig) -> NetworkArchitecture:
@@ -181,21 +145,39 @@ class DQNAgent:
     def __init__(self, n_actions: int, config: AgentConfig | None = None, seed: int = 0,
                  network: QNetwork | None = None):
         """A fresh learner; `network`, when given, is used in place of a new
-        seeded one and must have `network_architecture(n_actions, config)`."""
+        seeded one and must have `network_architecture(n_actions, config)`
+        (a ValueError gives the expected and the actual architecture)."""
         if n_actions < 1:
             raise ValueError("n_actions must be >= 1")
         self.config = config or AgentConfig()
-        self.schedule = self.config.initial_schedule()
-        self.n_actions = n_actions
+        architecture = network_architecture(n_actions, self.config)
         if network is None:
-            network = QNetwork.initialize(
-                network_architecture(n_actions, self.config), seed=derive_seed(seed, "q-network")
-            )
+            network = QNetwork.initialize(architecture, seed=derive_seed(seed, "q-network"))
+        elif network.architecture != architecture:
+            raise ValueError(f"expected a network with {architecture}, "
+                             f"got one with {network.architecture}")
         self.network = network
         self.memory = ReplayMemory(self.config.replay_capacity)
+        self.decays_done = 0
+
+    @property
+    def n_actions(self) -> int:
+        return self.network.architecture.output_dim
+
+    @property
+    def epsilon(self) -> float:
+        """The exploration rate: exactly max(floor, start * decay**t) after t
+        decays, a closed form that keeps long runs free of accumulated rounding."""
+        c = self.config
+        return max(c.epsilon_floor, c.epsilon_start * c.epsilon_decay ** self.decays_done)
+
+    def decay_exploration(self) -> None:
+        """One multiplicative decay; a no-op once the floor is reached."""
+        if self.epsilon > self.config.epsilon_floor:
+            self.decays_done += 1
 
     def select_k(self, state_vec: np.ndarray, rng: random.Random) -> int:
-        if rng.random() <= self.schedule.epsilon:
+        if rng.random() <= self.epsilon:
             return rng.randrange(self.n_actions)
         return int(self.network.forward(state_vec).argmax())
 
@@ -239,7 +221,7 @@ class DQNAgent:
         loss = self.replay(rng)
         if loss is not None:
             # Exploration decays only on steps that actually learned.
-            self.schedule.step()
+            self.decay_exploration()
         return loss
 
     def greedy_strategy(self) -> GreedyNetworkStrategy:
@@ -373,7 +355,7 @@ def train(
 ) -> list[float]:
     """Train in place over sequential episodes; returns per-episode utility.
 
-    Networks, memory, and the exploration schedule persist across episodes;
+    The network, the memory and the decay count persist across episodes;
     each episode runs on a fresh environment whose stress seed derives from
     the master seed and the episode index.
     """
@@ -410,7 +392,7 @@ def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
         "profile_name": profile_name,
         "n_actions": agent.n_actions,
         "config": asdict(agent.config),
-        "decays_done": agent.schedule.decays_done,
+        "decays_done": agent.decays_done,
         "network": agent.network.to_dict(),
         "provenance": provenance or {},
     }
@@ -440,7 +422,7 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
         data.get("network"), network_architecture(n_actions, config), f"{path}.network"
     )
     agent = DQNAgent(n_actions, config, network=network)
-    agent.schedule.decays_done = decays_done
+    agent.decays_done = decays_done
     meta = {
         "profile_name": data.get("profile_name"),
         "provenance": data.get("provenance", {}),

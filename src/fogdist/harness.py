@@ -300,7 +300,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
             "episodes": len(curve),
             "first_episode_utility": curve[0],
             "last_episode_utility": curve[-1],
-            "epsilon_final": agent.schedule.epsilon,
+            "epsilon_final": agent.epsilon,
         },
     )
     return RunArtifacts(config_hash=cfg_hash, files=files, learning_curve=curve)
@@ -495,7 +495,7 @@ def cmd_calibrate(profile: ApplicationProfile | None = None) -> CalibrationRepor
 
 # -- decision latency --------------------------------------------------------
 
-def measure_decision_latency(network, n: int = 10_000, seed: int = 0):
+def measure_decision_latency(network, n: int, seed: int = 0):
     """Wall-clock of n greedy decisions on random states; returns (stats, samples_ms)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -510,7 +510,7 @@ def measure_decision_latency(network, n: int = 10_000, seed: int = 0):
 
 
 def cmd_latency(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Path,
-                n: int = 10_000) -> RunArtifacts:
+                n: int) -> RunArtifacts:
     """Measure greedy decision overhead and emit the six-column summary."""
     cfg_hash = config_hash(cfg)
     policy = _load_policy(checkpoint, cfg.resolved_profile())

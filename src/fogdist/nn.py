@@ -25,9 +25,9 @@ from .profiles import record_from_dict
 @dataclass(frozen=True)
 class NetworkArchitecture:
     input_dim: int
-    hidden_layers: int = 2
-    hidden_width: int = 24
-    output_dim: int = 2
+    hidden_layers: int
+    hidden_width: int
+    output_dim: int
 
     def __post_init__(self):
         for name in ("input_dim", "hidden_layers", "hidden_width", "output_dim"):

@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .model import MAX_CPU_UNITS, ResourceUsage
@@ -208,10 +208,6 @@ _BUILTIN_FACTORIES = {
     "ipokemon": ipokemon_profile,
     "heavy": heavy_profile,
 }
-
-
-def profile_to_dict(profile: ApplicationProfile) -> dict:
-    return {"format_version": PROFILE_FORMAT_VERSION, **asdict(profile)}
 
 
 def profile_from_dict(data: dict, where: str = "profile") -> ApplicationProfile:

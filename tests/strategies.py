@@ -1,8 +1,16 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and helpers shared by the test modules."""
+import dataclasses
+
 from hypothesis import strategies as st
 
 from fogdist.model import ResourceUsage
-from fogdist.profiles import ApplicationProfile, ModuleProfile
+from fogdist.profiles import PROFILE_FORMAT_VERSION, ApplicationProfile, ModuleProfile
+
+
+def profile_to_dict(profile: ApplicationProfile) -> dict:
+    """The profile's JSON form, as `profile_from_dict` reads it."""
+    return {"format_version": PROFILE_FORMAT_VERSION, **dataclasses.asdict(profile)}
+
 
 
 @st.composite

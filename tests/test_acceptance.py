@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fogdist.agent import EpsilonSchedule, train
+from fogdist.agent import DQNAgent, train
 from fogdist.env import request_latency_breakdown
 from fogdist.harness import (
     FD_TRANSMISSION_CHAIN_S,
@@ -148,14 +148,14 @@ def test_03_video_pipeline_calibration():
 
 
 def test_04_exploration_schedule_closed_form():
-    sched = EpsilonSchedule()
+    agent = DQNAgent(n_actions=4)
     exact = all(
-        (sched.step() or True) and sched.epsilon == max(0.01, 0.99 ** min(t, 459))
+        (agent.decay_exploration() or True) and agent.epsilon == max(0.01, 0.99 ** min(t, 459))
         for t in range(1, 601)
     )
-    floor_at = sched.decays_done
+    floor_at = agent.decays_done
     report(4, "exploration rate equals max(0.01, 0.99^t); floor after 459 decays",
-           exact and floor_at == 459 and sched.epsilon == 0.01,
+           exact and floor_at == 459 and agent.epsilon == 0.01,
            f"decays_done={floor_at}")
 
 

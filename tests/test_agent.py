@@ -1,8 +1,10 @@
 """Agent tests: strategies, replay memory, exploration schedule, training loop."""
 import copy
+import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,12 +14,12 @@ from hypothesis import strategies as st
 from fogdist.agent import (
     AgentConfig,
     DQNAgent,
-    EpsilonSchedule,
     GreedyNetworkStrategy,
     ReplayMemory,
     StaticStrategy,
     Transition,
     load_checkpoint,
+    network_architecture,
     run_episode,
     save_checkpoint,
     train,
@@ -80,8 +82,8 @@ def test_fully_exploring_agent_is_uniform_over_plans():
 
 def test_greedy_agent_at_floor_mostly_exploits():
     agent = DQNAgent(n_actions=4)
-    agent.schedule.decays_done = 459
-    assert agent.schedule.epsilon == 0.01
+    agent.decays_done = 459
+    assert agent.epsilon == 0.01
     agent.network = bias_only_network([0.0, 0.0, 5.0, 0.0])
     rng = random.Random(7)
     picks = [agent.select_k(np.zeros(19), rng) for _ in range(1000)]
@@ -113,44 +115,52 @@ def test_replay_memory_rejects_oversized_sample():
     mem.remember(make_transition())
     with pytest.raises(ValueError):
         mem.sample(random.Random(0), 2)
-    with pytest.raises(ValueError):
-        ReplayMemory(capacity=0)
 
 
 # -- exploration schedule -----------------------------------------------------
 
-def test_epsilon_follows_closed_form_with_floor():
-    sched = EpsilonSchedule()
-    assert sched.epsilon == 1.0
-    for t in range(1, 601):
-        sched.step()
-        assert sched.epsilon == max(0.01, 0.99 ** t)
-    # 0.99**459 is the first power below the floor, so decays stop there
-    assert sched.decays_done == 459
-    assert sched.epsilon == 0.01
+@st.composite
+def exploration_settings(draw):
+    """Valid (epsilon_start, epsilon_floor, epsilon_decay), with a floor
+    reached within a few hundred decays."""
+    floor = draw(st.floats(1e-3, 1.0))
+    return draw(st.floats(floor, 1.0)), floor, draw(st.floats(0.01, 0.99))
+
+
+@settings(max_examples=60, deadline=None)
+@given(settings_=exploration_settings(), extra=st.integers(0, 5))
+def test_epsilon_follows_closed_form_with_floor(settings_, extra):
+    start, floor, decay = settings_
+    agent = DQNAgent(n_actions=2, config=AgentConfig(
+        epsilon_start=start, epsilon_floor=floor, epsilon_decay=decay))
+    t_floor = next(t for t in itertools.count() if start * decay ** t <= floor)
+    assert agent.decays_done == 0 and agent.epsilon == start
+    for t in range(1, t_floor + extra + 1):
+        agent.decay_exploration()
+        assert agent.decays_done == min(t, t_floor)
+        assert agent.epsilon == max(floor, start * decay ** min(t, t_floor))
+    assert agent.epsilon == floor
 
 
 def test_epsilon_schedule_validation():
-    with pytest.raises(ValueError):
-        EpsilonSchedule(start=1.5)
-    with pytest.raises(ValueError):
-        EpsilonSchedule(floor=0.5, start=0.1)
-    with pytest.raises(ValueError):
-        EpsilonSchedule(decay=1.0)
-    with pytest.raises(ValueError):
-        EpsilonSchedule(decays_done=-1)
+    with pytest.raises(ValueError, match="need 0 <= epsilon_floor <= epsilon_start <= 1"):
+        AgentConfig(epsilon_start=1.5)
+    with pytest.raises(ValueError, match="need 0 <= epsilon_floor <= epsilon_start <= 1"):
+        AgentConfig(epsilon_start=0.5, epsilon_floor=0.6)
+    with pytest.raises(ValueError, match="need 0 <= epsilon_floor <= epsilon_start <= 1"):
+        AgentConfig(epsilon_floor=-0.1)
+    with pytest.raises(ValueError, match=r"epsilon_decay must lie in \(0, 1\)"):
+        AgentConfig(epsilon_decay=1.0)
+    with pytest.raises(ValueError, match=r"epsilon_decay must lie in \(0, 1\)"):
+        AgentConfig(epsilon_decay=0.0)
 
 
 def test_agent_builds_its_schedule_from_its_config():
     config = AgentConfig(epsilon_start=0.8, epsilon_floor=0.1, epsilon_decay=0.9)
     agent = DQNAgent(n_actions=2, config=config)
-    assert agent.schedule == EpsilonSchedule(start=0.8, floor=0.1, decay=0.9, decays_done=0)
-    assert agent.schedule is not DQNAgent(n_actions=2, config=config).schedule
-    # the config's own check is the schedule's, with the schedule's message
-    with pytest.raises(ValueError, match="need 0 <= floor <= start <= 1"):
-        AgentConfig(epsilon_start=0.5, epsilon_floor=0.6)
-    with pytest.raises(ValueError, match="decay must lie in"):
-        AgentConfig(epsilon_decay=1.0)
+    assert (agent.decays_done, agent.epsilon) == (0, 0.8)
+    agent.decay_exploration()
+    assert agent.epsilon == 0.8 * 0.9
 
 
 # -- learning internals -------------------------------------------------------
@@ -177,13 +187,13 @@ def test_replay_skipped_until_memory_exceeds_batch():
     before = [w.copy() for w in agent.network.weights]
     for _ in range(5):
         assert agent.observe_transition(make_transition(reward=-1.0), rng) is None
-    assert agent.schedule.decays_done == 0
+    assert agent.decays_done == 0
     for w, b in zip(agent.network.weights, before):
         assert np.array_equal(w, b)
     # the sixth transition tips the memory past the minibatch size
     loss = agent.observe_transition(make_transition(reward=-1.0), rng)
     assert loss is not None and loss >= 0.0
-    assert agent.schedule.decays_done == 1
+    assert agent.decays_done == 1
     assert any(not np.array_equal(w, b) for w, b in zip(agent.network.weights, before))
 
 
@@ -341,7 +351,7 @@ def test_cost_only_training_learns_the_cheaper_tier():
 def test_checkpoint_round_trip(tmp_path):
     agent = DQNAgent(n_actions=4, seed=9,
                      config=AgentConfig(learning_rate=0.002, epsilon_floor=0.05, epsilon_decay=0.95))
-    agent.schedule.decays_done = 17
+    agent.decays_done = 17
     train(fd_profile(), agent, episodes=2, pricing=PRICING, weights=HYBRID,
           master_seed=5)
     path = tmp_path / "ck.json"
@@ -350,7 +360,9 @@ def test_checkpoint_round_trip(tmp_path):
     x = np.full(19, 0.4)
     assert np.array_equal(agent.network.forward(x), restored.network.forward(x))
     assert restored.config == agent.config
-    assert restored.schedule == agent.schedule
+    assert restored.decays_done == agent.decays_done > 17
+    assert restored.epsilon == agent.epsilon
+    assert restored.n_actions == agent.n_actions == 4
     assert meta["profile_name"] == "fd"
     assert meta["provenance"] == {"episodes": 2}
 
@@ -431,5 +443,23 @@ def test_agent_config_validation():
         AgentConfig(batch_size=0)
     with pytest.raises(ValueError):
         AgentConfig(learning_rate=0.0)
+    for key in ("batch_size", "replay_capacity", "hidden_layers", "hidden_width"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+            AgentConfig(**{key: 0})
     with pytest.raises(ValueError):
         DQNAgent(n_actions=0)
+
+
+def test_agent_refuses_a_network_of_another_architecture():
+    config = AgentConfig(hidden_width=8)
+    default_net = QNetwork.initialize(network_architecture(4, AgentConfig()), seed=0)
+    with pytest.raises(ValueError, match=re.escape(
+        "expected a network with NetworkArchitecture(input_dim=19, hidden_layers=2, "
+        "hidden_width=8, output_dim=4), got one with NetworkArchitecture(input_dim=19, "
+        "hidden_layers=2, hidden_width=24, output_dim=4)")):
+        DQNAgent(4, config, network=default_net)
+    with pytest.raises(ValueError, match="output_dim=3.*output_dim=4"):
+        DQNAgent(3, network=default_net)
+    fitting = QNetwork.initialize(network_architecture(4, config), seed=0)
+    agent = DQNAgent(4, config, network=fitting)
+    assert agent.network is fitting and agent.n_actions == 4

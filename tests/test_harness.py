@@ -16,6 +16,7 @@ from fogdist.agent import (
     DQNAgent,
     GreedyNetworkStrategy,
     StaticStrategy,
+    network_architecture,
     run_episode,
     train,
 )
@@ -38,9 +39,10 @@ from fogdist.harness import (
     static_strategies,
 )
 from fogdist.model import PricingModel, UtilityWeights
-from fogdist.nn import NetworkArchitecture, QNetwork
-from fogdist.profiles import fd_profile, profile_to_dict
+from fogdist.nn import QNetwork
+from fogdist.profiles import fd_profile
 from fogdist.seeding import derive_seed
+from strategies import profile_to_dict
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -170,8 +172,10 @@ def test_config_errors_name_the_path_of_the_bad_value():
         config_from_dict({"agent": {"epsilon_decays_done": 3}})
     with pytest.raises(ValueError, match="^config.agent: expected an object, got 5"):
         config_from_dict({"agent": 5})
-    with pytest.raises(ValueError, match="^config.agent: need 0 <= floor <= start"):
+    with pytest.raises(ValueError, match="^config.agent: need 0 <= epsilon_floor <= epsilon_start"):
         config_from_dict({"agent": {"epsilon_start": 0.5, "epsilon_floor": 0.6}})
+    with pytest.raises(ValueError, match="^config.agent: hidden_width must be >= 1$"):
+        config_from_dict({"agent": {"hidden_width": 0}})
     with pytest.raises(ValueError, match="^config: episodes: must be >= 1"):
         config_from_dict({"episodes": 0})
 
@@ -227,9 +231,7 @@ def test_same_plan_sees_identical_experiments_regardless_of_mix():
 
 
 def _non_learning_strategies(profile):
-    net = QNetwork.initialize(
-        NetworkArchitecture(input_dim=19, output_dim=profile.n_modules + 1), seed=0
-    )
+    net = QNetwork.initialize(network_architecture(profile.n_modules + 1, AgentConfig()), seed=0)
     return {**static_strategies(profile), "context-aware": GreedyNetworkStrategy(net)}
 
 
@@ -346,9 +348,23 @@ def test_training_is_pinned_to_the_bit(profile, episodes):
                   master_seed=cfg.master_seed, deployments=cfg.deployments_per_episode)
     blob = json.dumps([
         curve, [w.tolist() for w in agent.network.weights],
-        [b.tolist() for b in agent.network.biases], agent.schedule.decays_done,
+        [b.tolist() for b in agent.network.biases], agent.decays_done,
     ])
     assert hashlib.sha256(blob.encode()).hexdigest() == TRAINING_DIGESTS[profile, episodes]
+
+
+# sha256 of checkpoint.json then run.json, byte for byte, after a 20-episode
+# default train on fd at seed 2026: the files' layout as well as their values.
+TRAIN_FILES_DIGEST = "fbd80ceb73d408332dbfb7119824323c07a71d0f7d353ad28ad886e53f4a9df6"
+
+
+def test_train_files_are_pinned_to_the_byte(tmp_path):
+    cfg = config_from_dict({"profile": "fd", "master_seed": 2026, "episodes": 20})
+    cmd_train(cfg, tmp_path)
+    digest = hashlib.sha256()
+    for name in ("checkpoint.json", "run.json"):
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == TRAIN_FILES_DIGEST
 
 
 # sha256 of utilities_context-aware.csv, config-hash line left out, after a
@@ -497,7 +513,7 @@ def test_calibrate_fails_when_uplink_drifts():
 # -- decision latency ---------------------------------------------------------
 
 def test_measure_decision_latency_stats():
-    net = QNetwork.initialize(NetworkArchitecture(input_dim=19, output_dim=4), seed=0)
+    net = QNetwork.initialize(network_architecture(4, AgentConfig()), seed=0)
     stats, samples = measure_decision_latency(net, n=300, seed=1)
     assert stats.count == 300 and len(samples) == 300
     assert 0 < stats.minimum <= stats.q1 <= stats.median <= stats.q3 <= stats.maximum
@@ -684,7 +700,8 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
     ("network", None, 5, ".network: expected an object, got 5"),
     ("config", "carry_next_state", "no", ".config.carry_next_state: expected true/false"),
     ("config", "hidden_width", 24.0, ".config.hidden_width: expected an integer, got 24.0"),
-    ("config", "epsilon_floor", 2.0, ".config: need 0 <= floor <= start <= 1"),
+    ("config", "epsilon_floor", 2.0, ".config: need 0 <= epsilon_floor <= epsilon_start <= 1"),
+    ("config", "hidden_width", 0, ".config: hidden_width must be >= 1"),
     ("decays_done", None, "7", ".decays_done: expected an integer, got \"7\""),
     ("decays_done", None, 7.0, ".decays_done: expected an integer, got 7.0"),
     ("decays_done", None, True, ".decays_done: expected an integer, got true"),
@@ -710,7 +727,8 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
     ("network", "weights.2.1", 0.5, ".network.weights[2][1]: expected a list, got 0.5"),
     ("network", "format_version", 1, ".network: unknown key(s) ['format_version']"),
     ("network", "architecture", {}, ".network: unknown key(s) ['architecture']"),
-], ids=["network", "carry_next_state", "hidden_width", "epsilon_floor", "decays_done",
+], ids=["network", "carry_next_state", "hidden_width", "epsilon_floor", "hidden_width-zero",
+        "decays_done",
         "decays_done-float", "decays_done-bool", "decays_done-negative", "n_actions-float",
         "n_actions-bool", "n_actions-zero", "network-hidden_width", "input_dim", "output_dim",
         "hidden_layers-misfit",

@@ -16,10 +16,10 @@ def small_arch():
 
 
 def test_architecture_validation():
-    with pytest.raises(ValueError):
-        NetworkArchitecture(input_dim=0)
-    with pytest.raises(ValueError):
-        NetworkArchitecture(input_dim=3, output_dim=0)
+    with pytest.raises(ValueError, match="input_dim"):
+        NetworkArchitecture(input_dim=0, hidden_layers=2, hidden_width=24, output_dim=2)
+    with pytest.raises(ValueError, match="output_dim"):
+        NetworkArchitecture(input_dim=3, hidden_layers=2, hidden_width=24, output_dim=0)
     assert NetworkArchitecture(19, 2, 24, 4).layer_sizes() == [19, 24, 24, 4]
 
 

@@ -17,10 +17,9 @@ from fogdist.profiles import (
     ipokemon_profile,
     load_profile,
     profile_from_dict,
-    profile_to_dict,
     resolve_profile,
 )
-from strategies import application_profiles
+from strategies import application_profiles, profile_to_dict
 
 
 def test_builtin_profiles_shapes():
