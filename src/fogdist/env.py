@@ -3,8 +3,9 @@
 The Fog node is an 8-core, 2 GB single-board computer exposed as 8
 allocation units of 1 core + 256 MB.  A background stress generator
 occupies a uniformly random number of units (0..7) and re-rolls every 10
-simulated seconds, independent of anything the agent does, so two
-environments with the same seed always see the same load at the same
+simulated seconds, independent of anything the agent does: the load at
+simulated time ``now`` is draw ``int(now / 10)`` of the seed's stream, so
+two environments with the same seed always see the same load at the same
 simulated time.
 
 Requests of a deployment are processed sequentially.  Filtering stages are
@@ -95,29 +96,30 @@ class SimClock:
 class StressProcess:
     """Piecewise-constant background load on the Fog node.
 
-    The load is always draw number ``int(elapsed_s / 10)`` of a seeded
-    uniform{0..7} stream, draw 0 being interval 0's, so it is a pure
-    function of the seed and ``elapsed_s``.  ``elapsed_s`` is the float sum
-    of the advances, so two processes advanced by the same steps agree, but
-    chunking the same span differently can round the sum across a boundary:
-    100 advances of 0.1 s reach 9.99999999999998 s, still interval 0, while
-    one advance of 10 s reaches interval 1.
+    The load at simulated time ``now`` is draw number ``int(now / 10)`` of a
+    seeded uniform{0..7} stream, draw 0 being interval 0's, so it is a pure
+    function of the seed and the time.  No sum of steps is kept: however a
+    span is cut into calls, the load at its end is the same.
     """
 
     def __init__(self, seed: int):
-        self.elapsed_s = 0.0
         self._rng = random.Random(seed)
+        self.interval = 0
         self.load = self._rng.randrange(CAPACITY_UNITS)  # interval 0
 
-    def advance(self, dt: float) -> None:
-        """Move simulated time forward, re-rolling the load at each boundary."""
-        if not math.isfinite(dt) or dt < 0:
-            raise ValueError(f"stress process can only move forward, got dt={dt!r}")
-        before = int(self.elapsed_s / STRESS_RESAMPLE_S)
-        self.elapsed_s += dt
-        after = int(self.elapsed_s / STRESS_RESAMPLE_S)
-        for _ in range(after - before):
+    def advance(self, now: float) -> None:
+        """Move to simulated time ``now``, rolling one draw per boundary crossed."""
+        if not math.isfinite(now) or now < 0:
+            raise ValueError(f"stress process needs a finite time >= 0, got now={now!r}")
+        interval = int(now / STRESS_RESAMPLE_S)
+        if interval < self.interval:
+            raise ValueError(
+                f"stress process can only move forward, got now={now!r} "
+                f"in interval {interval} after interval {self.interval}"
+            )
+        for _ in range(interval - self.interval):
             self.load = self._rng.randrange(CAPACITY_UNITS)
+        self.interval = interval
 
 
 def transmission_time(data_units: float, profile: ApplicationProfile) -> float:
@@ -240,21 +242,12 @@ class FogEnvironment:
         self.raw_state[_SLOT["delay_fog_cloud"]] = profile.base_delay_fog_cloud_ms
         self.raw_state[_SLOT["delay_dev_cloud"]] = profile.base_delay_dev_cloud_ms
 
-    # -- internals ---------------------------------------------------------
-
-    def _sync(self, now: float) -> None:
-        dt = now - self.stress.elapsed_s
-        if dt < -1e-9:
-            raise ValueError("clock moved behind the stress process")
-        if dt > 0:
-            self.stress.advance(dt)
-
     # -- public API --------------------------------------------------------
 
     def observe(self, clock: SimClock) -> np.ndarray:
         """Sample the node at the clock's current time; returns the normalized
         state: each factor divided by its cap and clipped to [0, 1]."""
-        self._sync(clock.now)
+        self.stress.advance(clock.now)
         load = self.stress.load
         raw = self.raw_state
         mem_claim = UNIT_MEM_GB * load + self._deployed_mem_gb
@@ -283,26 +276,35 @@ class FogEnvironment:
         fog_cloud_s = float(self.raw_state[_SLOT["delay_fog_cloud"]]) / 1000.0
         dev_cloud_s = float(self.raw_state[_SLOT["delay_dev_cloud"]]) / 1000.0
 
-        started = clock.now
+        stress = self.stress
+        started = now = clock.now
         # Fog busy time by module position: the breakdown's fog dict is in
         # module order, so each slot receives the same adds as a by-name sum.
         busy = [0.0] * k
         uplink_units = 0.0
         per_unit = profile.uplink_seconds_per_raw_unit
         for _ in range(requests):
-            self._sync(clock.now)
-            available = CAPACITY_UNITS - self.stress.load
+            # The load changes only at interval boundaries; the same division
+            # as `StressProcess.advance`, since a precomputed boundary time can
+            # round to the other side of it.
+            if int(now / STRESS_RESAMPLE_S) != stress.interval:
+                stress.advance(now)
             parts = request_latency_breakdown(
-                profile, k, available_units=available,
+                profile, k, available_units=CAPACITY_UNITS - stress.load,
                 fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,
             )
             for i, seconds in enumerate(parts.fog_module_s.values()):
                 busy[i] += seconds
             if per_unit > 0:
                 uplink_units += parts.transmission_s / per_unit
-            clock.advance(parts.total_s)
-        duration_s = clock.now - started
-        self._sync(clock.now)
+            total = parts.total_s
+            if not 0.0 <= total < math.inf:     # negative, infinite or NaN
+                clock.now = now
+                clock.advance(total)    # raises the clock's forward-time error
+            now += total
+        clock.now = now
+        duration_s = now - started
+        stress.advance(now)
 
         usage = ResourceUsage()
         if k > 0 and duration_s > 0:

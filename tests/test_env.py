@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogdist import env as env_module
 from fogdist.agent import StaticStrategy, simulate_episode
 from fogdist.env import (
     AVAILABILITY_FLOOR,
@@ -25,6 +26,7 @@ from fogdist.env import (
 )
 from fogdist.model import MAX_CPU_UNITS, DeploymentOutcome, ResourceUsage
 from fogdist.profiles import fd_profile, heavy_profile, ipokemon_profile
+from fogdist.seeding import derive_seed
 from strategies import application_profiles
 
 
@@ -48,11 +50,11 @@ class IdleStress:
     the load stays 0."""
 
     def __init__(self):
-        self.elapsed_s = 0.0
+        self.interval = 0
         self.load = 0
 
-    def advance(self, dt: float) -> None:
-        self.elapsed_s += dt
+    def advance(self, now: float) -> None:
+        self.interval = int(now / STRESS_RESAMPLE_S)
 
 
 def idle_node(profile, seed: int) -> FogEnvironment:
@@ -76,39 +78,37 @@ def test_stress_holds_between_boundaries():
     before = p.load
     p.advance(9.9)
     assert p.load == before
-    p.advance(0.0)
+    p.advance(9.9)
     assert p.load == before
 
 
 def test_stress_resamples_on_each_boundary():
-    """Interval i's load is the i-th draw, in 10 s steps or in random chunks."""
+    """Interval i's load is the i-th draw, reached at 10 s steps or at random times."""
     a = StressProcess(17)
     b = StressProcess(17)
     loads_a = [a.load]
-    for _ in range(60):
-        a.advance(10.0)
+    for i in range(1, 61):
+        a.advance(10.0 * i)
         loads_a.append(a.load)
-    loads_b = [b.load]
     rng = random.Random(5)
     t = 0.0
     while t < 600.0:
-        dt = min(rng.uniform(0.1, 23.0), 600.0 - t)
-        b.advance(dt)
-        t += dt
-    # align: after 600 s both sit in interval 60
+        t = min(t + rng.uniform(0.1, 23.0), 600.0)
+        b.advance(t)
+    # align: at 600 s both sit in interval 60
     assert b.load == loads_a[60]
     # replay a third copy at exactly the recorded boundaries
     c = StressProcess(17)
     for i in range(1, 61):
-        c.advance(10.0)
+        c.advance(10.0 * i)
         assert c.load == loads_a[i]
 
 
 def test_stress_same_seed_same_trajectory():
     a, b = StressProcess(11), StressProcess(11)
-    for _ in range(200):
-        a.advance(10.0)
-        b.advance(10.0)
+    for i in range(1, 201):
+        a.advance(10.0 * i)
+        b.advance(10.0 * i)
         assert a.load == b.load
 
 
@@ -116,8 +116,8 @@ def test_stress_mean_is_uniform_over_units():
     """Mean of uniform{0..7} is 3.5; 10k intervals keep it within [3.3, 3.7]."""
     p = StressProcess(2024)
     loads = [p.load]
-    for _ in range(9999):
-        p.advance(10.0)
+    for i in range(1, 10_000):
+        p.advance(10.0 * i)
         loads.append(p.load)
     assert 3.3 <= np.mean(loads) <= 3.7
 
@@ -131,27 +131,114 @@ def test_stress_load_is_the_draw_of_the_elapsed_interval(seed, steps):
     process = StressProcess(seed)
     draws = random.Random(seed)
     loads = [draws.randrange(CAPACITY_UNITS)]
+    now = 0.0
     for dt in steps:
-        process.advance(dt)
-        interval = int(process.elapsed_s / STRESS_RESAMPLE_S)
+        now += dt
+        process.advance(now)
+        interval = int(now / STRESS_RESAMPLE_S)
         while len(loads) <= interval:
             loads.append(draws.randrange(CAPACITY_UNITS))
-        assert process.load == loads[interval]
+        assert (process.interval, process.load) == (interval, loads[interval])
 
 
-def test_stress_chunking_can_round_across_a_boundary():
-    """The same 10 s in 100 steps of 0.1 s sums to just under the boundary."""
+def test_stress_load_depends_only_on_the_time():
+    """However the first 10 s are cut into calls, 10.0 s lands on interval 1."""
     chunked, whole = StressProcess(1), StressProcess(1)
-    for _ in range(100):
-        chunked.advance(0.1)
+    for i in range(100):
+        chunked.advance(0.1 * i)
+    chunked.advance(10.0)
     whole.advance(10.0)
-    assert (chunked.elapsed_s, chunked.load) == (9.99999999999998, 2)   # interval 0
-    assert (whole.elapsed_s, whole.load) == (10.0, 1)                   # interval 1
+    assert (chunked.interval, chunked.load) == (whole.interval, whole.load) == (1, 1)
 
 
 def test_stress_rejects_backward_time():
     with pytest.raises(ValueError):
         StressProcess(0).advance(-1.0)
+    for now in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            StressProcess(0).advance(now)
+    p = StressProcess(0)
+    p.advance(25.0)
+    load = p.load
+    p.advance(21.0)     # earlier, but in the same interval: the load holds
+    with pytest.raises(ValueError, match="interval 1 after interval 2"):
+        p.advance(19.0)
+    assert (p.interval, p.load) == (2, load)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+       b=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+def test_adding_back_a_clock_step_gives_the_clock(a, b):
+    """fl(a + fl(fl(a + b) - a)) == fl(a + b) for non-negative floats: a sum
+    of steps synced to a clock, one step at a time, always equals the clock."""
+    now = a + b
+    assert a + (now - a) == now
+
+
+class ElapsedSumStress:
+    """The stress process as it was before the load was indexed by time: a
+    float sum of the steps between syncs, synced to the clock by the
+    environment on every observation and request."""
+
+    def __init__(self, seed: int):
+        self.elapsed_s = 0.0
+        self._rng = random.Random(seed)
+        self.load = self._rng.randrange(CAPACITY_UNITS)
+
+    def sync(self, now: float) -> None:
+        dt = now - self.elapsed_s
+        if dt < -1e-9:
+            raise ValueError("clock moved behind the stress process")
+        if dt > 0:
+            before = int(self.elapsed_s / STRESS_RESAMPLE_S)
+            self.elapsed_s += dt
+            for _ in range(int(self.elapsed_s / STRESS_RESAMPLE_S) - before):
+                self.load = self._rng.randrange(CAPACITY_UNITS)
+
+
+class TwinStress:
+    """A `StressProcess` and an `ElapsedSumStress` of one seed, moved to every
+    time the environment asks for; each move must give both the same load."""
+
+    def __init__(self, seed: int):
+        self.indexed = StressProcess(seed)
+        self.summed = ElapsedSumStress(seed)
+
+    @property
+    def interval(self) -> int:
+        return self.indexed.interval
+
+    @property
+    def load(self) -> int:
+        return self.indexed.load
+
+    def advance(self, now: float) -> None:
+        self.indexed.advance(now)
+        self.summed.sync(now)
+        assert self.summed.elapsed_s == now
+        assert self.indexed.load == self.summed.load
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile=st.sampled_from([fd_profile(), ipokemon_profile(), heavy_profile()])
+       | application_profiles(max_seconds=20.0, max_data=10.0, max_requests=60),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_time_indexed_load_equals_the_elapsed_sum_load(profile, seed, data):
+    """Along the clocks an episode produces (every observation, and every
+    request of the by-name reference), the time-indexed load is the old one."""
+    plans = data.draw(st.lists(st.integers(0, profile.n_modules), min_size=1, max_size=4))
+    env = FogEnvironment(profile, seed=seed)
+    env.stress = TwinStress(derive_seed(seed, "stress"))
+    clock = SimClock()
+    for k in plans:
+        env.observe(clock)
+        try:
+            reference_execute(env, k, clock)
+        except ValueError as exc:          # a deployment that takes no time
+            assert "duration_s" in str(exc)
+            break
+    env.observe(clock)
 
 
 # -- latency laws ------------------------------------------------------------
@@ -469,6 +556,54 @@ def test_all_profiles_run_every_plan():
             assert outcome.requests == prof.requests_per_deployment
 
 
+@pytest.mark.parametrize("profile", [fd_profile(), ipokemon_profile()], ids=["fd", "ipokemon"])
+def test_execute_moves_the_stress_only_into_new_intervals(profile, monkeypatch):
+    """One deployment calls `StressProcess.advance` at most once for each
+    interval its requests enter, plus once at its end, not once per request."""
+    calls = []
+    advance = StressProcess.advance
+
+    def counted(self, now):
+        calls.append(now)
+        advance(self, now)
+
+    monkeypatch.setattr(StressProcess, "advance", counted)
+    env = FogEnvironment(profile, seed=2026)
+    clock = SimClock()
+    env.observe(clock)
+    for k in range(profile.n_modules + 1):
+        started = clock.now
+        calls.clear()
+        env.execute(k, clock)
+        entered = int(clock.now / STRESS_RESAMPLE_S) - int(started / STRESS_RESAMPLE_S)
+        assert len(calls) <= entered + 1 < profile.requests_per_deployment
+        assert calls[-1] == clock.now
+
+
+@pytest.mark.parametrize("bad", [-1e9, float("nan"), float("inf")])
+def test_execute_stops_at_a_request_that_would_move_time_backward(bad, monkeypatch):
+    """A request total the clock would refuse raises the clock's own error,
+    with the clock left after the requests before it."""
+    breakdown = env_module.request_latency_breakdown
+    totals = []
+
+    def third_goes_bad(*args, **kwargs):
+        parts = breakdown(*args, **kwargs)
+        if len(totals) == 2:
+            parts = parts._replace(transmission_s=bad)
+        totals.append(parts.total_s)
+        return parts
+
+    monkeypatch.setattr(env_module, "request_latency_breakdown", third_goes_bad)
+    clock = SimClock()
+    with pytest.raises(ValueError) as raised:
+        FogEnvironment(fd_profile(), seed=4).execute(2, clock)
+    with pytest.raises(ValueError) as refused:
+        SimClock().advance(totals[2])
+    assert str(raised.value) == str(refused.value)
+    assert clock.now == totals[0] + totals[1]
+
+
 # -- execute against a by-name reference ---------------------------------------
 
 def reference_execute(env: FogEnvironment, k: int, clock: SimClock) -> DeploymentOutcome:
@@ -482,7 +617,7 @@ def reference_execute(env: FogEnvironment, k: int, clock: SimClock) -> Deploymen
     busy = {m.name: 0.0 for m in profile.modules[:k]}
     uplink_units = 0.0
     for _ in range(requests):
-        env._sync(clock.now)
+        env.stress.advance(clock.now)
         parts = request_latency_breakdown(
             profile, k, available_units=CAPACITY_UNITS - env.stress.load,
             fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,
@@ -493,7 +628,7 @@ def reference_execute(env: FogEnvironment, k: int, clock: SimClock) -> Deploymen
             if profile.uplink_seconds_per_raw_unit > 0 else 0.0
         clock.advance(parts.total_s)
     duration_s = clock.now - started
-    env._sync(clock.now)
+    env.stress.advance(clock.now)
     usage = ResourceUsage()
     if k > 0 and duration_s > 0:
         cpu = mem = storage = 0.0
