@@ -328,16 +328,19 @@ def run_episode(
         if not strategy.learns:
             return next_state
         carried = next_state if strategy.config.carry_next_state else state
-        strategy.observe_transition(
-            Transition(
-                state=state,
-                action=outcome.fog_modules,
-                reward=record.utility,
-                next_state=carried,
-                terminal=terminal,
-            ),
-            rng,
-        )
+        try:
+            strategy.observe_transition(
+                Transition(
+                    state=state,
+                    action=outcome.fog_modules,
+                    reward=record.utility,
+                    next_state=carried,
+                    terminal=terminal,
+                ),
+                rng,
+            )
+        except ValueError as exc:
+            raise ValueError(f"deployment {len(records)}: {exc}") from None
         return carried
 
     simulate_episode(env, strategy, rng, deployments, after_deployment=score_and_learn)

@@ -122,26 +122,6 @@ class StressProcess:
         self.interval = interval
 
 
-def transmission_time(data_units: float, profile: ApplicationProfile) -> float:
-    """Uplink time of a payload: size times the calibrated per-unit link time."""
-    if not math.isfinite(data_units) or data_units < 0:
-        raise ValueError(f"data_units must be >= 0, got {data_units!r}")
-    return data_units * profile.uplink_seconds_per_raw_unit
-
-
-def contended_time(base_s: float, demand_units: float, available_units: float) -> float:
-    """Service time stretched by the demand/availability ratio, never shortened."""
-    if base_s < 0:
-        raise ValueError("base_s must be >= 0")
-    if demand_units < 0 or not math.isfinite(available_units):
-        raise ValueError("invalid contention inputs")
-    # Each max() spelled as the comparison max() makes, to save a builtin
-    # call per fog stage and request: the results are the same floats.
-    effective = AVAILABILITY_FLOOR if AVAILABILITY_FLOOR > available_units else available_units
-    stretch = demand_units / effective
-    return base_s * (stretch if stretch > 1.0 else 1.0)
-
-
 class LatencyBreakdown(NamedTuple):
     """Expected per-request latency of one plan, split by component.
 
@@ -178,36 +158,51 @@ def request_latency_breakdown(
 
     Plan 0 uploads the raw payload straight to the Cloud; any other plan
     runs the leading stages on the Fog node and forwards whatever survives
-    them, down to the final result for the all-on-Fog plan.
+    them, down to the final result for the all-on-Fog plan.  With
+    ``survival`` the share of requests that reach a point and ``data`` the
+    payload there, a fog stage takes ``survival * (compute_s * stretch +
+    fog_extra_s)`` with ``stretch = max(1, cpu_units / max(available_units,
+    0.25))``, a cloud stage ``survival * compute_s``, the uplink ``data *
+    uplink_seconds_per_raw_unit`` (times ``survival`` for plans above 0),
+    and propagation the device-cloud delay for plan 0, else ``survival``
+    times the fog-cloud delay.  The profile's records already refuse
+    negative or non-finite times, demands and payloads, so only the plan
+    and ``available_units`` are checked here.
     """
     k = fog_modules
     modules = profile.modules
     n = len(modules)
     if not 0 <= k <= n:
         raise ValueError(f"fog_modules must lie in [0, {n}], got {k!r}")
+    if not math.isfinite(available_units):
+        raise ValueError(f"available_units must be finite, got {available_units!r}")
     if fog_cloud_delay_s is None:
         fog_cloud_delay_s = profile.base_delay_fog_cloud_ms / 1000.0
     if dev_cloud_delay_s is None:
         dev_cloud_delay_s = profile.base_delay_dev_cloud_ms / 1000.0
 
+    # Each max() spelled as the comparison max() makes, to save a builtin
+    # call per fog stage and request: the results are the same floats.
+    effective = AVAILABILITY_FLOOR if AVAILABILITY_FLOOR > available_units else available_units
     survival = 1.0
     data = profile.raw_request_data
     fog_s: dict[str, float] = {}
     cloud_s: dict[str, float] = {}
 
     for module in modules[:k]:
-        stage = contended_time(module.compute_s, module.demand.cpu_units, available_units)
+        stretch = module.demand.cpu_units / effective
+        stage = module.compute_s * (stretch if stretch > 1.0 else 1.0)
         fog_s[module.name] = survival * (stage + module.fog_extra_s)
         data *= module.data_out_ratio
         survival *= module.pass_fraction
 
     if k == 0:
-        transmission = transmission_time(data, profile)
+        transmission = data * profile.uplink_seconds_per_raw_unit
         propagation = dev_cloud_delay_s
     else:
         # Only surviving requests cross the fog-to-cloud link (the last plan
         # still uploads its result there).
-        transmission = survival * transmission_time(data, profile)
+        transmission = survival * (data * profile.uplink_seconds_per_raw_unit)
         propagation = survival * fog_cloud_delay_s
 
     for module in modules[k:]:

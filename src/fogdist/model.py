@@ -163,8 +163,6 @@ def deployment_cost(
 
 def deployment_utility(weights: UtilityWeights, outcome: DeploymentOutcome, cost: float) -> float:
     """Utility of one deployment: qos_weight*(duration/requests) + cost_weight*cost."""
-    if outcome.requests < 1:
-        raise ValueError("outcome.requests: must be >= 1")
     if not math.isfinite(cost):
         raise ValueError(f"cost must be finite, got {cost!r}")
     per_request_s = outcome.duration_s / outcome.requests

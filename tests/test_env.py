@@ -20,12 +20,16 @@ from fogdist.env import (
     FogEnvironment,
     SimClock,
     StressProcess,
-    contended_time,
     request_latency_breakdown,
-    transmission_time,
 )
 from fogdist.model import MAX_CPU_UNITS, DeploymentOutcome, ResourceUsage
-from fogdist.profiles import fd_profile, heavy_profile, ipokemon_profile
+from fogdist.profiles import (
+    ApplicationProfile,
+    ModuleProfile,
+    fd_profile,
+    heavy_profile,
+    ipokemon_profile,
+)
 from fogdist.seeding import derive_seed
 from strategies import application_profiles
 
@@ -243,32 +247,48 @@ def test_time_indexed_load_equals_the_elapsed_sum_load(profile, seed, data):
 
 # -- latency laws ------------------------------------------------------------
 
-def test_transmission_time_is_proportional_to_size():
+def test_transmission_is_proportional_to_size():
     prof = fd_profile()
-    assert transmission_time(1.0, prof) == pytest.approx(2.28, rel=1e-12)
-    assert transmission_time(0.5, prof) == pytest.approx(1.14, rel=1e-12)
-    assert transmission_time(0.0, prof) == 0.0
-    with pytest.raises(ValueError):
-        transmission_time(-1.0, prof)
+    for size, seconds in ((1.0, 2.28), (0.5, 1.14)):
+        sized = dataclasses.replace(prof, raw_request_data=size)
+        assert request_latency_breakdown(sized, 0).transmission_s == pytest.approx(seconds, rel=1e-12)
 
 
-def test_contended_time_never_speeds_up():
+def stage_seconds(compute_s: float, cpu_units: float, available_units: float) -> float:
+    """The fog time of a lone stage with no fog penalty: its stretched compute time."""
+    module = ModuleProfile(name="stage", compute_s=compute_s, fog_extra_s=0.0,
+                           demand=ResourceUsage(cpu_units=cpu_units))
+    profile = ApplicationProfile(name="one-stage", modules=(module,))
+    parts = request_latency_breakdown(profile, 1, available_units=available_units)
+    return parts.fog_module_s["stage"]
+
+
+def test_fog_stage_never_speeds_up():
     # demand below availability: unchanged
-    assert contended_time(1.0, 4.0, 8.0) == 1.0
+    assert stage_seconds(1.0, 4.0, 8.0) == 1.0
     # demand 8 against 4 free units: twice as slow
-    assert contended_time(1.0, 8.0, 4.0) == 2.0
+    assert stage_seconds(1.0, 8.0, 4.0) == 2.0
     # nothing free: floor of 0.25 units -> 8/0.25 = 32x
-    assert contended_time(1.0, 8.0, 0.0) == 32.0
-    assert contended_time(0.0, 8.0, 0.5) == 0.0
+    assert stage_seconds(1.0, 8.0, 0.0) == 32.0
+    assert stage_seconds(0.0, 8.0, 0.5) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
-@given(base_s=st.floats(0.0, 1e6), demand=st.floats(0.0, 8.0) | st.just(float("nan")),
+@given(base_s=st.floats(0.0, 1e6), demand=st.floats(0.0, 8.0),
        available=st.floats(-1.0, 9.0) | st.integers(0, CAPACITY_UNITS))
-def test_contended_time_is_the_max_formula(base_s, demand, available):
+def test_fog_stage_is_the_max_formula(base_s, demand, available):
     """The stretch is base * max(1, demand / max(available, floor)), to the bit."""
     expected = base_s * max(1.0, demand / max(available, AVAILABILITY_FLOOR))
-    assert contended_time(base_s, demand, available) == expected
+    assert stage_seconds(base_s, demand, available) == expected
+
+
+@pytest.mark.parametrize("profile", [fd_profile(), ipokemon_profile(), heavy_profile()],
+                         ids=["fd", "ipokemon", "heavy"])
+@pytest.mark.parametrize("available", [float("nan"), float("inf"), float("-inf")])
+def test_breakdown_refuses_non_finite_availability_on_every_plan(profile, available):
+    for k in range(profile.n_modules + 1):
+        with pytest.raises(ValueError, match=r"^available_units must be finite, got"):
+            request_latency_breakdown(profile, k, available_units=available)
 
 
 def test_breakdown_video_transmission_chain():

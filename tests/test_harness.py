@@ -614,7 +614,7 @@ def test_cli_train_reports_divergence_before_writing(tmp_path, capsys):
         code = main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: episode \d+: training diverged at learning_rate=5\.0: .*\n", err)
+    assert re.fullmatch(r"error: episode \d+: deployment \d+: training diverged at learning_rate=5\.0: .*\n", err)
     assert not out_dir.exists()
 
 
