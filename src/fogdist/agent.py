@@ -37,7 +37,7 @@ from .nn import NetworkArchitecture, QNetwork
 from .profiles import ApplicationProfile, read_json_file, record_from_dict, typed_value
 from .seeding import derive_seed
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 DEPLOYMENTS_PER_EPISODE = 20
 
 
@@ -77,11 +77,6 @@ class AgentConfig:
     replay_capacity: int = 2000
     hidden_layers: int = 2
     hidden_width: int = 24
-    # The learner feeds the freshly observed state back as the next decision
-    # state.  Disabling this reproduces a degenerate variant that freezes the
-    # decision state for a whole episode and stores each transition with its
-    # own state as successor.
-    carry_next_state: bool = True
     # The exploration schedule: rate max(floor, start * decay**t) after t decays.
     epsilon_start: float = 1.0
     epsilon_floor: float = 0.01
@@ -114,8 +109,6 @@ def network_architecture(n_actions: int, config: AgentConfig) -> NetworkArchitec
 class StaticStrategy:
     """Always deploy the same number of leading modules on the Fog."""
 
-    learns = False
-
     def __init__(self, fog_modules: int):
         if fog_modules < 0:
             raise ValueError("fog_modules must be >= 0")
@@ -128,8 +121,6 @@ class StaticStrategy:
 class GreedyNetworkStrategy:
     """Pure exploitation of a trained value network (evaluation mode)."""
 
-    learns = False
-
     def __init__(self, network: QNetwork):
         self.network = network
 
@@ -139,8 +130,6 @@ class GreedyNetworkStrategy:
 
 class DQNAgent:
     """Learning strategy: epsilon-greedy over a replay-trained value network."""
-
-    learns = True
 
     def __init__(self, n_actions: int, config: AgentConfig | None = None, seed: int = 0,
                  network: QNetwork | None = None):
@@ -283,11 +272,11 @@ def simulate_episode(
     """The episode loop: a fixed number of deployments on a single environment.
 
     Each step observes the node, lets the strategy pick a plan, and deploys
-    it.  ``after_deployment(state, outcome, next_state, terminal)``, when
-    given, runs after every deployment and returns the state the next
-    decision sees; without it that is the freshly observed state.  Nothing
-    here reads prices or weights, so a strategy that does not learn yields
-    the same outcomes under every (pricing, weights) cell.
+    it; the next decision sees the freshly observed state.
+    ``after_deployment(state, outcome, next_state, terminal)``, when given,
+    runs after every deployment and only observes.  Nothing here reads
+    prices or weights, so a strategy that does not learn yields the same
+    outcomes under every (pricing, weights) cell.
     """
     if deployments < 1:
         raise ValueError("deployments must be >= 1")
@@ -298,26 +287,25 @@ def simulate_episode(
         outcome = env.execute(strategy.select_k(state, rng), clock)
         outcomes.append(outcome)
         next_state = env.observe(clock)
-        if after_deployment is None:
-            state = next_state
-        else:
-            state = after_deployment(state, outcome, next_state, j == deployments)
+        if after_deployment is not None:
+            after_deployment(state, outcome, next_state, j == deployments)
+        state = next_state
     return outcomes
 
 
 def run_episode(
     env: FogEnvironment,
-    strategy,
+    agent: DQNAgent,
     pricing: PricingModel,
     weights: UtilityWeights,
     rng: random.Random,
-    deployments: int = DEPLOYMENTS_PER_EPISODE,
+    deployments: int,
 ) -> EpisodeResult:
-    """One scored episode: simulate, and score each deployment as it happens.
+    """One training episode: simulate, scoring each deployment as it happens.
 
-    Static strategies never touch any learning state; the learning strategy
-    additionally stores each transition, with the deployment's utility as
-    its reward, and replays after every deployment.
+    Each deployment's transition is stored, with its utility as the reward
+    and the freshly observed state as the successor, and the agent replays
+    before its next decision.
     """
     n = env.profile.n_modules
     records = []
@@ -325,25 +313,21 @@ def run_episode(
     def score_and_learn(state, outcome, next_state, terminal):
         record = score_deployment(outcome, n, pricing, weights)
         records.append(record)
-        if not strategy.learns:
-            return next_state
-        carried = next_state if strategy.config.carry_next_state else state
         try:
-            strategy.observe_transition(
+            agent.observe_transition(
                 Transition(
                     state=state,
                     action=outcome.fog_modules,
                     reward=record.utility,
-                    next_state=carried,
+                    next_state=next_state,
                     terminal=terminal,
                 ),
                 rng,
             )
         except ValueError as exc:
             raise ValueError(f"deployment {len(records)}: {exc}") from None
-        return carried
 
-    simulate_episode(env, strategy, rng, deployments, after_deployment=score_and_learn)
+    simulate_episode(env, agent, rng, deployments, after_deployment=score_and_learn)
     return _episode_result(records)
 
 
@@ -383,8 +367,17 @@ def train(
 
 # -- checkpointing ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class Provenance:
+    """What a checkpoint was trained under."""
+
+    config_hash: str
+    master_seed: int
+    weights: UtilityWeights
+
+
 def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
-                    provenance: dict | None = None) -> None:
+                    provenance: Provenance) -> None:
     """Write the agent (config, decay count, network) to a versioned JSON file.
 
     Raises ValueError, writing nothing, if any value is not finite.
@@ -397,7 +390,7 @@ def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
         "config": asdict(agent.config),
         "decays_done": agent.decays_done,
         "network": agent.network.to_dict(),
-        "provenance": provenance or {},
+        "provenance": asdict(provenance),
     }
     try:
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
@@ -407,7 +400,8 @@ def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
 
 
 def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
-    """Restore an agent from a checkpoint; returns (agent, metadata)."""
+    """Restore an agent from a checkpoint; returns (agent, metadata), the
+    metadata holding its `profile_name` and its `Provenance`."""
     path = Path(path)
     data = read_json_file(path, "checkpoint")
     if not isinstance(data, dict) or data.get("kind") != "fogdist-agent":
@@ -427,8 +421,8 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
     agent = DQNAgent(n_actions, config, network=network)
     agent.decays_done = decays_done
     meta = {
-        "profile_name": data.get("profile_name"),
-        "provenance": data.get("provenance", {}),
+        "profile_name": typed_value(str, data.get("profile_name"), f"{path}.profile_name"),
+        "provenance": record_from_dict(Provenance, data.get("provenance"), f"{path}.provenance"),
     }
     return agent, meta
 

@@ -33,6 +33,7 @@ from .agent import (
     DQNAgent,
     EpisodeResult,
     GreedyNetworkStrategy,
+    Provenance,
     StaticStrategy,
     load_checkpoint,
     save_checkpoint,
@@ -215,7 +216,7 @@ def evaluate_strategies(
     cells = list(cells)
     if not cells:
         raise ValueError("evaluate_strategies needs at least one (pricing, weights) cell")
-    learners = sorted(name for name, strategy in strategies.items() if strategy.learns)
+    learners = sorted(name for name, s in strategies.items() if isinstance(s, DQNAgent))
     if learners:
         raise ValueError(
             f"evaluate_strategies scores outcomes shared across cells, so it cannot run "
@@ -288,10 +289,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
     ckpt_path = out_dir / "checkpoint.json"
     save_checkpoint(
         agent, ckpt_path, profile_name=profile.name,
-        provenance={
-            "config_hash": cfg_hash, "master_seed": cfg.master_seed,
-            "weights": asdict(cfg.weights),
-        },
+        provenance=Provenance(
+            config_hash=cfg_hash, master_seed=cfg.master_seed, weights=cfg.weights,
+        ),
     )
     files = {"learning_curve": curve_path, "checkpoint": ckpt_path}
     files["run"] = _write_run_json(
@@ -365,6 +365,10 @@ def cmd_sweep(
         raise ValueError("weight_grid must not be empty")
     _reject_repeats(ratios, "fog price ratio(s)")
     _reject_repeats([(w.qos_weight, w.cost_weight) for w in weight_grid], "weight pair(s)")
+    cells = [
+        (replace(cfg.pricing, fog_price_ratio=ratio), weights)
+        for ratio in ratios for weights in weight_grid
+    ]
     profile = cfg.resolved_profile()
     cfg_hash = config_hash(cfg)
     strategies: dict[str, object] = dict(static_strategies(profile))
@@ -372,11 +376,6 @@ def cmd_sweep(
         strategies["context-aware"] = _load_policy(checkpoint, profile)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    cells = [
-        (replace(cfg.pricing, fog_price_ratio=ratio), weights)
-        for ratio in ratios for weights in weight_grid
-    ]
     per_cell = evaluate_strategies(
         profile, strategies, cells,
         experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
@@ -514,11 +513,11 @@ def cmd_latency(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Pa
     """Measure greedy decision overhead and emit the six-column summary."""
     cfg_hash = config_hash(cfg)
     policy = _load_policy(checkpoint, cfg.resolved_profile())
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stats, _samples = measure_decision_latency(
         policy.network, n=n, seed=cfg.master_seed,
     )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "latency.csv"
     _write_csv(
         path, ["min_ms", "q1_ms", "median_ms", "mean_ms", "q3_ms", "max_ms"],

@@ -224,8 +224,7 @@ def profile_from_dict(data: dict, where: str = "profile") -> ApplicationProfile:
 
 # How an error names the JSON values each scalar annotation accepts.
 _JSON_NAMES = {
-    bool: "true/false", int: "an integer", float: "a number", str: "a string",
-    type(None): "null",
+    int: "an integer", float: "a number", str: "a string", type(None): "null",
 }
 
 
@@ -255,8 +254,8 @@ def typed_value(kind, value, where: str):
 
 def _json_matches(value, scalar) -> bool:
     """Whether a JSON value has the type a scalar annotation asks for."""
-    if isinstance(value, bool):                   # bool is a subclass of int
-        return scalar is bool
+    if isinstance(value, bool):                   # a subclass of int, yet no JSON number
+        return False
     return isinstance(value, (int, float) if scalar is float else scalar)
 
 

@@ -15,6 +15,7 @@ from fogdist.agent import (
     AgentConfig,
     DQNAgent,
     GreedyNetworkStrategy,
+    Provenance,
     ReplayMemory,
     StaticStrategy,
     Transition,
@@ -22,6 +23,8 @@ from fogdist.agent import (
     network_architecture,
     run_episode,
     save_checkpoint,
+    score_episode,
+    simulate_episode,
     train,
 )
 from fogdist.env import FogEnvironment
@@ -32,6 +35,7 @@ from fogdist.profiles import fd_profile, heavy_profile
 PRICING = PricingModel()
 HYBRID = UtilityWeights(qos_weight=-1.0, cost_weight=-1.0)
 COST_ONLY = UtilityWeights(qos_weight=0.0, cost_weight=-1.0)
+PROVENANCE = Provenance(config_hash="0123456789ab", master_seed=5, weights=HYBRID)
 
 
 def bias_only_network(output_biases):
@@ -250,20 +254,25 @@ def test_replay_is_deterministic_for_a_seed():
 
 # -- episodes -----------------------------------------------------------------
 
-def test_run_episode_static_shape_and_utility_sum():
+def scored_episode(env, strategy, pricing, weights, rng, deployments=20):
+    """A strategy that does not learn, simulated and then scored under one cell."""
+    outcomes = simulate_episode(env, strategy, rng, deployments)
+    return score_episode(outcomes, env.profile.n_modules, pricing, weights)
+
+
+def test_scored_static_episode_shape_and_utility_sum():
     env = FogEnvironment(fd_profile(), seed=11)
-    result = run_episode(env, StaticStrategy(3), PRICING, HYBRID, random.Random(0),
-                         deployments=20)
+    result = scored_episode(env, StaticStrategy(3), PRICING, HYBRID, random.Random(0))
     assert len(result.records) == 20
     assert result.utility == math.fsum(r.utility for r in result.records)
     assert all(r.utility < 0 for r in result.records)
     assert all(r.outcome.fog_modules == 3 for r in result.records)
 
 
-def test_run_episode_static_is_deterministic():
+def test_scored_static_episode_is_deterministic():
     def once():
         env = FogEnvironment(fd_profile(), seed=21)
-        return run_episode(env, StaticStrategy(1), PRICING, HYBRID, random.Random(4))
+        return scored_episode(env, StaticStrategy(1), PRICING, HYBRID, random.Random(4))
 
     a, b = once(), once()
     assert a.utility == b.utility
@@ -277,18 +286,6 @@ def test_run_episode_marks_only_last_transition_terminal():
     stored = list(agent.memory._items)
     assert len(stored) == 8
     assert [t.terminal for t in stored] == [False] * 7 + [True]
-
-
-def test_frozen_state_variant_stores_state_as_its_own_successor():
-    config = AgentConfig(carry_next_state=False)
-    agent = DQNAgent(n_actions=4, config=config, seed=1)
-    env = FogEnvironment(fd_profile(), seed=31)
-    run_episode(env, agent, PRICING, HYBRID, random.Random(2), deployments=6)
-    stored = list(agent.memory._items)
-    first = stored[0].state
-    for t in stored:
-        assert np.array_equal(t.state, first)
-        assert np.array_equal(t.next_state, first)
 
 
 def test_carried_state_advances_between_deployments():
@@ -305,7 +302,7 @@ def test_carried_state_advances_between_deployments():
 def test_run_episode_rejects_bad_deployment_count():
     env = FogEnvironment(fd_profile(), seed=0)
     with pytest.raises(ValueError):
-        run_episode(env, StaticStrategy(0), PRICING, HYBRID, random.Random(0),
+        run_episode(env, DQNAgent(n_actions=4), PRICING, HYBRID, random.Random(0),
                     deployments=0)
 
 
@@ -341,7 +338,7 @@ def test_cost_only_training_learns_the_cheaper_tier():
     picks = []
     for i in range(10):
         env = FogEnvironment(profile, seed=1000 + i)
-        result = run_episode(env, greedy, pricing, COST_ONLY, rng)
+        result = scored_episode(env, greedy, pricing, COST_ONLY, rng)
         picks.extend(r.outcome.fog_modules for r in result.records)
     assert picks.count(0) / len(picks) >= 0.95
 
@@ -355,7 +352,7 @@ def test_checkpoint_round_trip(tmp_path):
     train(fd_profile(), agent, episodes=2, pricing=PRICING, weights=HYBRID,
           master_seed=5)
     path = tmp_path / "ck.json"
-    save_checkpoint(agent, path, profile_name="fd", provenance={"episodes": 2})
+    save_checkpoint(agent, path, profile_name="fd", provenance=PROVENANCE)
     restored, meta = load_checkpoint(path)
     x = np.full(19, 0.4)
     assert np.array_equal(agent.network.forward(x), restored.network.forward(x))
@@ -364,12 +361,12 @@ def test_checkpoint_round_trip(tmp_path):
     assert restored.epsilon == agent.epsilon
     assert restored.n_actions == agent.n_actions == 4
     assert meta["profile_name"] == "fd"
-    assert meta["provenance"] == {"episodes": 2}
+    assert meta["provenance"] == PROVENANCE
 
 
 def test_load_checkpoint_builds_no_throwaway_network(tmp_path, monkeypatch):
     path = tmp_path / "ck.json"
-    save_checkpoint(DQNAgent(n_actions=4, seed=3), path, profile_name="fd")
+    save_checkpoint(DQNAgent(n_actions=4, seed=3), path, profile_name="fd", provenance=PROVENANCE)
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_checkpoint drew a fresh network")
@@ -386,7 +383,7 @@ def test_load_checkpoint_errors(tmp_path):
     bad.write_text('{"format_version": 99, "kind": "fogdist-agent"}')
     with pytest.raises(ValueError):
         load_checkpoint(bad)
-    bad.write_text('{"format_version": 4, "kind": "fogdist-agent", "n_actions": 4}')
+    bad.write_text('{"format_version": 5, "kind": "fogdist-agent", "n_actions": 4}')
     with pytest.raises(ValueError, match=r"bad\.json\.config: expected an object, got null"):
         load_checkpoint(bad)
 
@@ -394,7 +391,7 @@ def test_load_checkpoint_errors(tmp_path):
 def test_checkpoint_format_1_is_rejected_with_a_retrain_hint(tmp_path):
     agent = DQNAgent(n_actions=4, seed=2)
     path = tmp_path / "v1.json"
-    save_checkpoint(agent, path, profile_name="fd")
+    save_checkpoint(agent, path, profile_name="fd", provenance=PROVENANCE)
     data = json.loads(path.read_text())
     assert "target_network" not in data and "weights" not in data["config"]
     data["format_version"] = 1
@@ -404,17 +401,18 @@ def test_checkpoint_format_1_is_rejected_with_a_retrain_hint(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [2, 3])
-def test_checkpoint_formats_2_and_3_are_rejected_with_a_retrain_hint(tmp_path, version):
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_checkpoint_formats_2_to_4_are_rejected_with_a_retrain_hint(tmp_path, version):
     agent = DQNAgent(n_actions=4, seed=2)
     path = tmp_path / f"v{version}.json"
-    save_checkpoint(agent, path, profile_name="fd")
+    save_checkpoint(agent, path, profile_name="fd", provenance=PROVENANCE)
     data = json.loads(path.read_text())
     assert "schedule" not in data and set(data["network"]) == {"weights", "biases"}
     data["format_version"] = version
-    data["network"]["architecture"] = {
-        "input_dim": 19, "hidden_layers": 2, "hidden_width": 24, "output_dim": 4,
-    }
+    if version < 4:
+        data["network"]["architecture"] = {
+            "input_dim": 19, "hidden_layers": 2, "hidden_width": 24, "output_dim": 4,
+        }
     if version == 2:
         config = data["config"]
         data["schedule"] = {
@@ -432,7 +430,7 @@ def test_save_checkpoint_refuses_non_finite_parameters(tmp_path):
     agent.network.weights[1][0, 0] = float("nan")
     path = tmp_path / "ck.json"
     with pytest.raises(ValueError, match="non-finite"):
-        save_checkpoint(agent, path, profile_name="fd")
+        save_checkpoint(agent, path, profile_name="fd", provenance=PROVENANCE)
     assert not path.exists()
 
 

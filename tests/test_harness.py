@@ -17,7 +17,8 @@ from fogdist.agent import (
     GreedyNetworkStrategy,
     StaticStrategy,
     network_architecture,
-    run_episode,
+    score_episode,
+    simulate_episode,
     train,
 )
 from fogdist.cli import EXIT_CALIBRATION, EXIT_OK, EXIT_VALIDATION, main
@@ -116,7 +117,7 @@ def test_config_hash_tracks_content():
     assert config_hash(config_from_dict({})) != config_hash(config_from_dict({"master_seed": 1}))
     assert len(config_hash(config_from_dict({}))) == 12
     # Output files carry this hash: the default config's must not drift.
-    assert config_hash(config_from_dict({})) == "a74e0b5077b0"
+    assert config_hash(config_from_dict({})) == "cb76a3f8cc1e"
 
 
 @st.composite
@@ -143,7 +144,6 @@ def experiment_configs(draw):
             replay_capacity=draw(st.integers(1, 10_000)),
             hidden_layers=draw(st.integers(1, 4)),
             hidden_width=draw(st.integers(1, 64)),
-            carry_next_state=draw(st.booleans()),
             epsilon_start=draw(st.floats(floor, 1.0)), epsilon_floor=floor,
             epsilon_decay=draw(st.floats(0.01, 0.999)),
         ),
@@ -162,7 +162,7 @@ def test_config_values_are_kept_exactly_as_given():
     cfg = config_from_dict({"pricing": {"vm_hourly": 0}})
     assert cfg.pricing.vm_hourly == 0 and type(cfg.pricing.vm_hourly) is int
     # so an integer-valued price hashes as it always did
-    assert config_hash(cfg) == "3761e04e4506"
+    assert config_hash(cfg) == "1b3669c311d2"
 
 
 def test_config_errors_name_the_path_of_the_bad_value():
@@ -259,7 +259,8 @@ def test_outcomes_do_not_depend_on_the_cell_and_shared_scoring_is_exact(
     def separate_run(name, index, pricing, weights):
         env = FogEnvironment(profile, seed=derive_seed(master_seed, "eval-experiment", index))
         rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
-        return run_episode(env, strategies[name], pricing, weights, rng, deployments=deployments)
+        outcomes = simulate_episode(env, strategies[name], rng, deployments=deployments)
+        return score_episode(outcomes, profile.n_modules, pricing, weights)
 
     for name in strategies:
         for index in range(experiments):
@@ -308,11 +309,11 @@ def test_cmd_train_outputs(tmp_path):
     assert (tmp_path / "checkpoint.json").exists()
 
 
-def test_train_checkpoint_is_format_4_with_the_weights_in_provenance(tmp_path):
+def test_train_checkpoint_is_format_5_with_the_weights_in_provenance(tmp_path):
     cfg = small_config(weights=UtilityWeights(qos_weight=0.0, cost_weight=-2.0))
     artifacts = cmd_train(cfg, tmp_path)
     data = json.loads((tmp_path / "checkpoint.json").read_text())
-    assert data["format_version"] == 4
+    assert data["format_version"] == 5
     assert "target_network" not in data and "schedule" not in data
     assert data["config"] == dataclasses.asdict(cfg.agent)     # epsilon_* included
     assert type(data["decays_done"]) is int and data["decays_done"] > 0
@@ -355,7 +356,7 @@ def test_training_is_pinned_to_the_bit(profile, episodes):
 
 # sha256 of checkpoint.json then run.json, byte for byte, after a 20-episode
 # default train on fd at seed 2026: the files' layout as well as their values.
-TRAIN_FILES_DIGEST = "fbd80ceb73d408332dbfb7119824323c07a71d0f7d353ad28ad886e53f4a9df6"
+TRAIN_FILES_DIGEST = "8233a18845c21d728f1fb81cc9d1ed9e46ab1218b5bc8835a575f970d4f1679a"
 
 
 def test_train_files_are_pinned_to_the_byte(tmp_path):
@@ -573,6 +574,27 @@ def test_cli_sweep_rejects_repeated_grid_entries(tmp_path, cli_config, capsys, g
     assert not out_dir.exists()
 
 
+def test_cli_sweep_refuses_an_out_of_range_ratio_before_writing(tmp_path, cli_config, capsys):
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cli_config), "--out-dir", str(out_dir),
+                 "--ratios", "20"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: pricing.fog_price_ratio: must lie in (0, 10], got 20.0\n"
+    assert not out_dir.exists()
+
+
+def test_cli_latency_refuses_zero_samples_before_writing(tmp_path, cli_config, capsys):
+    train_dir = tmp_path / "train"
+    assert main(["train", "--config", str(cli_config), "--out-dir", str(train_dir)]) == EXIT_OK
+    capsys.readouterr()
+    out_dir = tmp_path / "lat"
+    code = main(["latency", "--config", str(cli_config), "--out-dir", str(out_dir),
+                 "--checkpoint", str(train_dir / "checkpoint.json"), "--samples", "0"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert not out_dir.exists()
+
+
 def test_cli_sweep_names_the_flag_of_a_bad_ratio(tmp_path, cli_config, capsys):
     out_dir = tmp_path / "sweep"
     code = main(["sweep", "--config", str(cli_config), "--out-dir", str(out_dir),
@@ -646,12 +668,23 @@ def test_a_diverging_step_leaves_the_weights_it_found(seed):
     assert all(np.isfinite(p).all() for p in after)
 
 
+def test_cli_train_refuses_the_removed_successor_knob(tmp_path, capsys):
+    """The successor is always the freshly observed state: a config that asks
+    to switch that off is refused, not ignored."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"episodes": 2, "agent": {"carry_next_state": True}}))
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: config.agent: unknown key(s) ['carry_next_state']\n"
+    assert not out_dir.exists()
+
+
 MISTYPED_CONFIGS = [
     ({"episodes": 2.5}, "config.episodes"),
     ({"agent": {"batch_size": 2.5}}, "config.agent.batch_size"),
     ({"master_seed": "x"}, "config.master_seed"),
     ({"eval_experiments": True}, "config.eval_experiments"),
-    ({"agent": {"carry_next_state": "no"}}, "config.agent.carry_next_state"),
+    ({"agent": {"discount": "0.9"}}, "config.agent.discount"),
     ({"profile": 5}, "config.profile"),
     ({"pricing": {"fog_price_ratio": "0.1"}}, "config.pricing.fog_price_ratio"),
     ({"agent": {"epsilon_decay": None}}, "config.agent.epsilon_decay"),
@@ -698,7 +731,7 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
 
 @pytest.mark.parametrize("section, key, value, message", [
     ("network", None, 5, ".network: expected an object, got 5"),
-    ("config", "carry_next_state", "no", ".config.carry_next_state: expected true/false"),
+    ("config", "learning_rate", "0.001", ".config.learning_rate: expected a number, got \"0.001\""),
     ("config", "hidden_width", 24.0, ".config.hidden_width: expected an integer, got 24.0"),
     ("config", "epsilon_floor", 2.0, ".config: need 0 <= epsilon_floor <= epsilon_start <= 1"),
     ("config", "hidden_width", 0, ".config: hidden_width must be >= 1"),
@@ -727,13 +760,17 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
     ("network", "weights.2.1", 0.5, ".network.weights[2][1]: expected a list, got 0.5"),
     ("network", "format_version", 1, ".network: unknown key(s) ['format_version']"),
     ("network", "architecture", {}, ".network: unknown key(s) ['architecture']"),
-], ids=["network", "carry_next_state", "hidden_width", "epsilon_floor", "hidden_width-zero",
+    ("provenance", None, 5, ".provenance: expected an object, got 5"),
+    ("provenance", "master_seed", "3", ".provenance.master_seed: expected an integer, got \"3\""),
+    ("profile_name", None, 7, ".profile_name: expected a string, got 7"),
+], ids=["network", "learning_rate", "hidden_width", "epsilon_floor", "hidden_width-zero",
         "decays_done",
         "decays_done-float", "decays_done-bool", "decays_done-negative", "n_actions-float",
         "n_actions-bool", "n_actions-zero", "network-hidden_width", "input_dim", "output_dim",
         "hidden_layers-misfit",
         "nan-weight", "inf-bias", "weight-shape", "int-overflow-weight", "bool-weight", "string-bias", "flat-weight-row",
-        "network-format_version", "network-architecture"])
+        "network-format_version", "network-architecture", "provenance", "provenance-master_seed",
+        "profile_name"])
 def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys,
                                                     section, key, value, message):
     train_dir = tmp_path / "train"
