@@ -34,7 +34,13 @@ from .model import (
     strategy_utility,
 )
 from .nn import NetworkArchitecture, QNetwork
-from .profiles import ApplicationProfile, read_json_file, record_from_dict, typed_value
+from .profiles import (
+    ApplicationProfile,
+    read_json_file,
+    record_from_dict,
+    typed_value,
+    write_text_atomically,
+)
 from .seeding import derive_seed
 
 CHECKPOINT_FORMAT_VERSION = 5
@@ -396,7 +402,7 @@ def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: cannot write a checkpoint with non-finite values ({exc})") from None
-    Path(path).write_text(text, encoding="utf-8")
+    write_text_atomically(Path(path), text)
 
 
 def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:

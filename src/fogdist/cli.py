@@ -97,13 +97,16 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _parse_grid(flag: str, items, parse) -> list:
-    """Each item parsed; a ValueError names the flag and the bad item."""
+    """Each item parsed; a ValueError names the flag and the bad item, or
+    the flag alone when there is no item."""
     values = []
     for item in items:
         try:
             values.append(parse(item))
         except ValueError as exc:
             raise ValueError(f"{flag} {item!r}: {exc}") from None
+    if not values:
+        raise ValueError(f"{flag}: must list at least one value")
     return values
 
 
@@ -152,6 +155,8 @@ def main(argv=None) -> int:
             return EXIT_OK if report.passed else EXIT_CALIBRATION
 
         if args.command == "latency":
+            if args.samples < 1:
+                raise ValueError(f"--samples {args.samples}: must be >= 1")
             cfg = _config_from_args(args)
             artifacts = cmd_latency(cfg, args.checkpoint, args.out_dir, n=args.samples)
             stats = artifacts.latency

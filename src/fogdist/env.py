@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -126,16 +128,18 @@ class LatencyBreakdown(NamedTuple):
     """Expected per-request latency of one plan, split by component.
 
     Module times are weighted by the fraction of requests that actually
-    reach the module, and both module dicts are in pipeline order;
+    reach the module, and both module mappings are in pipeline order;
     ``transmission_s`` covers only the size-proportional uplink part,
-    propagation delay is separate.  A named tuple: immutable, and cheap to
-    build once per simulated request.
+    propagation delay is separate.  `request_latency_breakdown` hands the
+    same object to every request that asks with the same inputs, so it is
+    immutable all the way down: a named tuple whose module mappings are
+    read-only views.
     """
 
     transmission_s: float
     propagation_s: float
-    fog_module_s: dict[str, float]
-    cloud_module_s: dict[str, float]
+    fog_module_s: Mapping[str, float]
+    cloud_module_s: Mapping[str, float]
 
     @property
     def total_s(self) -> float:
@@ -145,6 +149,12 @@ class LatencyBreakdown(NamedTuple):
             + math.fsum(self.fog_module_s.values())
             + math.fsum(self.cloud_module_s.values())
         )
+
+
+# The breakdowns of the last (profile, plan, delays) asked for, by
+# `available_units`.  Within one deployment only the free units change, and
+# they take at most CAPACITY_UNITS values, so that is the most it keeps.
+_memo: tuple[tuple, dict[float, LatencyBreakdown]] = ((), {})
 
 
 def request_latency_breakdown(
@@ -165,11 +175,39 @@ def request_latency_breakdown(
     0.25))``, a cloud stage ``survival * compute_s``, the uplink ``data *
     uplink_seconds_per_raw_unit`` (times ``survival`` for plans above 0),
     and propagation the device-cloud delay for plan 0, else ``survival``
-    times the fog-cloud delay.  The profile's records already refuse
-    negative or non-finite times, demands and payloads, so only the plan
-    and ``available_units`` are checked here.
+    times the fog-cloud delay.
+
+    A call with the same inputs as an earlier one since the profile, plan or
+    delays last changed returns that call's breakdown itself; inputs that
+    fail a check are never kept, so they raise every time.
     """
-    k = fog_modules
+    global _memo
+    key = (profile, fog_modules, fog_cloud_delay_s, dev_cloud_delay_s)
+    last_key, built = _memo
+    if key == last_key:
+        parts = built.get(available_units)
+        if parts is not None:
+            return parts
+    else:
+        built = {}
+        _memo = (key, built)
+    parts = _build_breakdown(profile, fog_modules, available_units,
+                             fog_cloud_delay_s, dev_cloud_delay_s)
+    if len(built) < CAPACITY_UNITS:
+        built[available_units] = parts
+    return parts
+
+
+def _build_breakdown(
+    profile: ApplicationProfile,
+    k: int,
+    available_units: float,
+    fog_cloud_delay_s: float | None,
+    dev_cloud_delay_s: float | None,
+) -> LatencyBreakdown:
+    """`request_latency_breakdown` worked out afresh.  The profile's records
+    already refuse negative or non-finite times, demands and payloads, so
+    only the plan and ``available_units`` are checked here."""
     modules = profile.modules
     n = len(modules)
     if not 0 <= k <= n:
@@ -182,7 +220,7 @@ def request_latency_breakdown(
         dev_cloud_delay_s = profile.base_delay_dev_cloud_ms / 1000.0
 
     # Each max() spelled as the comparison max() makes, to save a builtin
-    # call per fog stage and request: the results are the same floats.
+    # call per fog stage: the results are the same floats.
     effective = AVAILABILITY_FLOOR if AVAILABILITY_FLOOR > available_units else available_units
     survival = 1.0
     data = profile.raw_request_data
@@ -210,7 +248,8 @@ def request_latency_breakdown(
         data *= module.data_out_ratio
         survival *= module.pass_fraction
 
-    return LatencyBreakdown(transmission, propagation, fog_s, cloud_s)
+    return LatencyBreakdown(transmission, propagation,
+                            MappingProxyType(fog_s), MappingProxyType(cloud_s))
 
 
 class FogEnvironment:
@@ -273,11 +312,12 @@ class FogEnvironment:
 
         stress = self.stress
         started = now = clock.now
-        # Fog busy time by module position: the breakdown's fog dict is in
+        # Fog busy time by module position: the breakdown's fog mapping is in
         # module order, so each slot receives the same adds as a by-name sum.
         busy = [0.0] * k
         uplink_units = 0.0
         per_unit = profile.uplink_seconds_per_raw_unit
+        last = None
         for _ in range(requests):
             # The load changes only at interval boundaries; the same division
             # as `StressProcess.advance`, since a precomputed boundary time can
@@ -288,14 +328,20 @@ class FogEnvironment:
                 profile, k, available_units=CAPACITY_UNITS - stress.load,
                 fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,
             )
-            for i, seconds in enumerate(parts.fog_module_s.values()):
+            # The routine hands back the previous request's breakdown while
+            # the load holds, and an immutable breakdown gives the same
+            # figures again: they are worked out only for a new one.
+            if parts is not last:
+                last = parts
+                fog = tuple(parts.fog_module_s.values())
+                units = parts.transmission_s / per_unit if per_unit > 0 else 0.0
+                total = parts.total_s
+                if not 0.0 <= total < math.inf:     # negative, infinite or NaN
+                    clock.now = now
+                    clock.advance(total)    # raises the clock's forward-time error
+            for i, seconds in enumerate(fog):
                 busy[i] += seconds
-            if per_unit > 0:
-                uplink_units += parts.transmission_s / per_unit
-            total = parts.total_s
-            if not 0.0 <= total < math.inf:     # negative, infinite or NaN
-                clock.now = now
-                clock.advance(total)    # raises the clock's forward-time error
+            uplink_units += units
             now += total
         clock.now = now
         duration_s = now - started

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import random
 import time
@@ -43,7 +44,13 @@ from .agent import (
 )
 from .env import STATE_FACTORS, FogEnvironment, request_latency_breakdown
 from .model import FOG_PRICE_RATIO_GRID, PricingModel, UtilityWeights
-from .profiles import ApplicationProfile, read_json_file, record_from_dict, resolve_profile
+from .profiles import (
+    ApplicationProfile,
+    read_json_file,
+    record_from_dict,
+    resolve_profile,
+    write_text_atomically,
+)
 from .seeding import derive_seed
 
 RUN_FORMAT_VERSION = 1
@@ -160,12 +167,12 @@ class RunArtifacts:
 # -- file emission -----------------------------------------------------------
 
 def _write_csv(path: Path, header: list[str], rows, cfg_hash: str, master_seed: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={cfg_hash} master_seed={master_seed}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+    text = io.StringIO()
+    text.write(f"# config_hash={cfg_hash} master_seed={master_seed}\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomically(path, text.getvalue())
 
 
 def _write_run_json(out_dir: Path, command: str, cfg: ExperimentConfig, cfg_hash: str,
@@ -180,8 +187,7 @@ def _write_run_json(out_dir: Path, command: str, cfg: ExperimentConfig, cfg_hash
         "outputs": {k: p.name for k, p in sorted(outputs.items())},
         "summary": summary,
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    write_text_atomically(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return path
 
 

@@ -6,11 +6,10 @@ output of a single action toward a scalar target: `_forward_sample` gives
 its loss (target - q[action])**2 and `_hidden_deltas` propagates its
 gradient.  The SGD step checks the loss before any gradient, then moves
 only row `action` of the output weights and that action's output bias, plus
-every hidden layer; `loss_gradients` spells the same arithmetic out as full
-gradient arrays for the finite-difference checks.  Plain gradient descent,
-float64 throughout; weights and biases serialise to a JSON-ready dict whose
-floats round-trip exactly.  The dict is stored only inside an agent
-checkpoint, which also holds what the architecture follows from.
+every hidden layer.  Plain gradient descent, float64 throughout; weights and
+biases serialise to a JSON-ready dict whose floats round-trip exactly.  The
+dict is stored only inside an agent checkpoint, which also holds what the
+architecture follows from.
 """
 from __future__ import annotations
 
@@ -135,20 +134,6 @@ class QNetwork:
             if i > 0:
                 delta = delta.dot(self.weights[i])
         return hidden[::-1]
-
-    def loss_gradients(self, x, action: int, target: float):
-        """Loss (target - q[action])**2 and its gradients w.r.t. all parameters."""
-        x = self._check_sample(x, action, target)
-        loss, q, layers = self._forward_sample(x, action, target)
-        d = 2.0 * (q - target)
-        hidden = self._hidden_deltas(action, d, layers)
-        grad_w = [delta[:, None] * a for delta, a in hidden]
-        grad_b = [delta for delta, _ in hidden]
-        grad_w.append(np.zeros_like(self.weights[-1]))
-        grad_w[-1][action] = d * layers[-1][1]
-        grad_b.append(np.zeros_like(self.biases[-1]))
-        grad_b[-1][action] = d
-        return loss, grad_w, grad_b
 
     def sgd_step(self, x, action: int, target: float, learning_rate: float) -> float:
         """One descent step on the single-action squared error; returns the pre-step loss.

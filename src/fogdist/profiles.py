@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -302,6 +303,19 @@ def read_json_file(path: Path, what: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path}: invalid JSON ({exc})") from None
+
+
+def write_text_atomically(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temporary file in the
+    same directory and `os.replace`: the target holds either what it held
+    before or all of ``text``, never part of it."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_bytes(text.encode("utf-8"))
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_profile(path: str | Path) -> ApplicationProfile:

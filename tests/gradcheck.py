@@ -1,4 +1,5 @@
-"""Finite-difference oracle for the value network's analytic backward pass."""
+"""Finite-difference oracle for the value network's analytic backward pass,
+and the gradients one SGD step applies, read back from the step."""
 import numpy as np
 
 
@@ -23,3 +24,13 @@ def numeric_gradients(net, x, action: int, target: float, step: float = 1e-5):
                 flat_p[i] = original
                 flat_g[i] = (up - down) / (2.0 * step)
     return grad_w, grad_b
+
+
+def step_gradients(net, x, action: int, target: float, learning_rate: float = 0.001):
+    """The gradients one `sgd_step` applies: (p_before - p_after) / learning_rate
+    for every weight and bias.  The step moves `net`."""
+    params = net.weights + net.biases
+    before = [p.copy() for p in params]
+    net.sgd_step(x, action, target, learning_rate)
+    grads = [(old - p) / learning_rate for old, p in zip(before, params)]
+    return grads[:len(net.weights)], grads[len(net.weights):]

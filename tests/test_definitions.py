@@ -13,10 +13,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "fogdist").glob("*.py"))
 
-# Used only by the tests: criterion 02 checks the SGD step's arithmetic
-# through the loss gradients it exposes.
-USED_BY_TESTS_ONLY = {"loss_gradients"}
-
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -49,6 +45,4 @@ def test_the_scan_sees_unused_and_used_definitions():
 
 def test_every_definition_in_the_package_is_used_there():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
-    unused = unused_definitions(sources)
-    # Exactly the listed exceptions: a name that no longer needs one fails too.
-    assert {entry.rsplit(": ", 1)[1] for entry in unused} == USED_BY_TESTS_ONLY, unused
+    assert unused_definitions(sources) == []

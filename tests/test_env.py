@@ -286,9 +286,14 @@ def test_fog_stage_is_the_max_formula(base_s, demand, available):
                          ids=["fd", "ipokemon", "heavy"])
 @pytest.mark.parametrize("available", [float("nan"), float("inf"), float("-inf")])
 def test_breakdown_refuses_non_finite_availability_on_every_plan(profile, available):
+    """Cold, and again once the plan's breakdowns are memoised: a refused
+    availability is never kept, so it raises every time."""
     for k in range(profile.n_modules + 1):
-        with pytest.raises(ValueError, match=r"^available_units must be finite, got"):
-            request_latency_breakdown(profile, k, available_units=available)
+        for warm in (False, True):
+            if warm:
+                request_latency_breakdown(profile, k, available_units=4.0)
+            with pytest.raises(ValueError, match=r"^available_units must be finite, got"):
+                request_latency_breakdown(profile, k, available_units=available)
 
 
 def test_breakdown_video_transmission_chain():
@@ -336,8 +341,11 @@ def test_breakdown_slower_when_less_is_available():
 
 
 def test_breakdown_rejects_bad_plan():
-    with pytest.raises(ValueError):
-        request_latency_breakdown(fd_profile(), 4)
+    profile = fd_profile()
+    request_latency_breakdown(profile, 1)       # a warm memo for the profile
+    for bad in (4, -1, -1):     # the repeat asks again right after a refusal
+        with pytest.raises(ValueError, match=rf"^fog_modules must lie in \[0, 3\], got {bad}$"):
+            request_latency_breakdown(profile, bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,10 +361,43 @@ def test_breakdown_total_lies_between_the_idle_and_the_floor_node(profile, avail
 
 
 def test_breakdown_fields_cannot_be_assigned():
+    """Neither the fields nor the module mappings: requests share a breakdown."""
     b = request_latency_breakdown(fd_profile(), 1)
     for name in b._fields:
         with pytest.raises(AttributeError):
             setattr(b, name, 0.0)
+    for mapping in (b.fog_module_s, b.cloud_module_s):
+        with pytest.raises(TypeError):
+            mapping["greyscale"] = 0.0
+
+
+_MEMO_PROFILES = (fd_profile(), ipokemon_profile(), heavy_profile())
+
+
+@st.composite
+def breakdown_calls(draw):
+    """The arguments of one `request_latency_breakdown` call, drawn from
+    small pools so that a sequence of calls repeats inputs often."""
+    profile = draw(st.sampled_from(_MEMO_PROFILES))
+    delay = st.sampled_from([None, 0.0, 0.05, 0.1])
+    return (profile, draw(st.integers(0, profile.n_modules)),
+            draw(st.sampled_from(range(CAPACITY_UNITS + 1)) | st.floats(-1.0, 9.0)),
+            draw(delay), draw(delay))
+
+
+@settings(max_examples=100, deadline=None)
+@given(calls=st.lists(breakdown_calls(), min_size=1, max_size=40))
+def test_memoised_breakdowns_equal_a_fresh_build(calls):
+    """Whatever the order of profiles, plans, availabilities and delays, the
+    memo returns what building the breakdown afresh returns, an immediate
+    repeat returns the very same object, and the memo never holds more than
+    one breakdown per free-units value a deployment can meet."""
+    for profile, k, available, fog_cloud_s, dev_cloud_s in calls:
+        parts = request_latency_breakdown(profile, k, available, fog_cloud_s, dev_cloud_s)
+        fresh = env_module._build_breakdown(profile, k, available, fog_cloud_s, dev_cloud_s)
+        assert parts == fresh and parts.total_s == fresh.total_s
+        assert request_latency_breakdown(profile, k, available, fog_cloud_s, dev_cloud_s) is parts
+        assert len(env_module._memo[1]) <= CAPACITY_UNITS
 
 
 # -- observation -------------------------------------------------------------
@@ -598,6 +639,34 @@ def test_execute_moves_the_stress_only_into_new_intervals(profile, monkeypatch):
         entered = int(clock.now / STRESS_RESAMPLE_S) - int(started / STRESS_RESAMPLE_S)
         assert len(calls) <= entered + 1 < profile.requests_per_deployment
         assert calls[-1] == clock.now
+
+
+@pytest.mark.parametrize("profile", [fd_profile(), ipokemon_profile()], ids=["fd", "ipokemon"])
+def test_execute_builds_each_breakdown_once_per_free_units_value(profile, monkeypatch):
+    """One deployment builds at most one breakdown for each free-units value
+    its requests meet, however many requests it streams."""
+    builds, available = [], []
+    build, breakdown = env_module._build_breakdown, env_module.request_latency_breakdown
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def recorded(*args, **kwargs):
+        available.append(kwargs["available_units"])
+        return breakdown(*args, **kwargs)
+
+    monkeypatch.setattr(env_module, "_build_breakdown", counted_build)
+    monkeypatch.setattr(env_module, "request_latency_breakdown", recorded)
+    env = FogEnvironment(profile, seed=2026)
+    clock = SimClock()
+    for k in range(profile.n_modules + 1):
+        env.observe(clock)
+        builds.clear()
+        available.clear()
+        env.execute(k, clock)
+        assert len(available) == profile.requests_per_deployment
+        assert 1 <= len(builds) <= len(set(available))
 
 
 @pytest.mark.parametrize("bad", [-1e9, float("nan"), float("inf")])

@@ -5,18 +5,22 @@ import json
 import random
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fogdist import harness
 from fogdist.agent import (
     AgentConfig,
     DQNAgent,
     GreedyNetworkStrategy,
+    Provenance,
     StaticStrategy,
     network_architecture,
+    save_checkpoint,
     score_episode,
     simulate_episode,
     train,
@@ -489,6 +493,42 @@ def test_cmd_sweep_includes_policy_with_checkpoint(tmp_path):
     assert (0.01, "context-aware") in artifacts.mean_costs
 
 
+def test_a_write_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    """CSV rows that fail part-way, and a disk write that fails after half its
+    bytes, leave each output absent or with its old bytes, and no temporary
+    file beside it."""
+    def rows_that_break():
+        yield [1, 2]
+        raise RuntimeError("row 2 is broken")
+
+    with pytest.raises(RuntimeError, match="row 2"):
+        harness._write_csv(tmp_path / "rows.csv", ["a", "b"], rows_that_break(), "hash", 7)
+    assert list(tmp_path.iterdir()) == []
+
+    cfg = small_config()
+    writes = {
+        "rows.csv": lambda: harness._write_csv(tmp_path / "rows.csv", ["a"], [[1]], "hash", 7),
+        "run.json": lambda: harness._write_run_json(tmp_path, "train", cfg, "hash", {}, {}),
+        "checkpoint.json": lambda: save_checkpoint(
+            build_agent(cfg, fd_profile()), tmp_path / "checkpoint.json", "fd",
+            Provenance(config_hash="hash", master_seed=7, weights=cfg.weights)),
+    }
+    for name in writes:
+        (tmp_path / name).write_text("old", encoding="utf-8")
+    write_bytes = Path.write_bytes
+
+    def half_then_fail(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    for name, write in writes.items():
+        with pytest.raises(OSError, match="disk full"):
+            write()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writes)
+    assert all((tmp_path / name).read_text(encoding="utf-8") == "old" for name in writes)
+
+
 # -- calibration --------------------------------------------------------------
 
 def test_calibrate_passes_for_builtin_video_profile():
@@ -584,15 +624,17 @@ def test_cli_sweep_refuses_an_out_of_range_ratio_before_writing(tmp_path, cli_co
 
 
 def test_cli_latency_refuses_zero_samples_before_writing(tmp_path, cli_config, capsys):
+    """Zero or a negative count: one error line that names the flag."""
     train_dir = tmp_path / "train"
     assert main(["train", "--config", str(cli_config), "--out-dir", str(train_dir)]) == EXIT_OK
     capsys.readouterr()
     out_dir = tmp_path / "lat"
-    code = main(["latency", "--config", str(cli_config), "--out-dir", str(out_dir),
-                 "--checkpoint", str(train_dir / "checkpoint.json"), "--samples", "0"])
-    assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: n must be >= 1\n"
-    assert not out_dir.exists()
+    for samples in ("0", "-3"):
+        code = main(["latency", "--config", str(cli_config), "--out-dir", str(out_dir),
+                     "--checkpoint", str(train_dir / "checkpoint.json"), "--samples", samples])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: --samples {samples}: must be >= 1\n"
+        assert not out_dir.exists()
 
 
 def test_cli_sweep_names_the_flag_of_a_bad_ratio(tmp_path, cli_config, capsys):
@@ -602,6 +644,15 @@ def test_cli_sweep_names_the_flag_of_a_bad_ratio(tmp_path, cli_config, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: --ratios 'x': ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_cli_sweep_names_the_flag_of_an_empty_ratio_list(tmp_path, cli_config, capsys):
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cli_config), "--out-dir", str(out_dir),
+                 "--ratios", ","])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --ratios: must list at least one value\n"
     assert not out_dir.exists()
 
 
