@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +31,7 @@ from .profiles import ApplicationProfile
 from .seeding import derive_seed
 
 # Fog node hardware model.
-CAPACITY_UNITS = 8              # stress/allocation units on the board
+CAPACITY_UNITS = int(MAX_CPU_UNITS)   # stress/allocation units; an int for randrange
 UNIT_MEM_GB = 0.25              # memory occupied per stressed unit
 STRESS_RESAMPLE_S = 10.0        # stress level re-rolls on this period
 MEM_TOTAL_GB = 2.0
@@ -128,26 +126,26 @@ class LatencyBreakdown(NamedTuple):
     """Expected per-request latency of one plan, split by component.
 
     Module times are weighted by the fraction of requests that actually
-    reach the module, and both module mappings are in pipeline order;
-    ``transmission_s`` covers only the size-proportional uplink part,
-    propagation delay is separate.  `request_latency_breakdown` hands the
-    same object to every request that asks with the same inputs, so it is
-    immutable all the way down: a named tuple whose module mappings are
-    read-only views.
+    reach the module; ``fog_s`` holds the fog-hosted modules' and
+    ``cloud_s`` the rest's, each in pipeline order.  ``transmission_s``
+    covers only the size-proportional uplink part, propagation delay is
+    separate.  `request_latency_breakdown` hands the same object to every
+    request that asks with the same inputs, so it is immutable all the way
+    down: a named tuple of floats and tuples.
     """
 
     transmission_s: float
     propagation_s: float
-    fog_module_s: Mapping[str, float]
-    cloud_module_s: Mapping[str, float]
+    fog_s: tuple[float, ...]
+    cloud_s: tuple[float, ...]
 
     @property
     def total_s(self) -> float:
         return (
             self.transmission_s
             + self.propagation_s
-            + math.fsum(self.fog_module_s.values())
-            + math.fsum(self.cloud_module_s.values())
+            + math.fsum(self.fog_s)
+            + math.fsum(self.cloud_s)
         )
 
 
@@ -224,13 +222,13 @@ def _build_breakdown(
     effective = AVAILABILITY_FLOOR if AVAILABILITY_FLOOR > available_units else available_units
     survival = 1.0
     data = profile.raw_request_data
-    fog_s: dict[str, float] = {}
-    cloud_s: dict[str, float] = {}
+    fog_s: list[float] = []
+    cloud_s: list[float] = []
 
     for module in modules[:k]:
         stretch = module.demand.cpu_units / effective
         stage = module.compute_s * (stretch if stretch > 1.0 else 1.0)
-        fog_s[module.name] = survival * (stage + module.fog_extra_s)
+        fog_s.append(survival * (stage + module.fog_extra_s))
         data *= module.data_out_ratio
         survival *= module.pass_fraction
 
@@ -244,12 +242,11 @@ def _build_breakdown(
         propagation = survival * fog_cloud_delay_s
 
     for module in modules[k:]:
-        cloud_s[module.name] = survival * module.compute_s
+        cloud_s.append(survival * module.compute_s)
         data *= module.data_out_ratio
         survival *= module.pass_fraction
 
-    return LatencyBreakdown(transmission, propagation,
-                            MappingProxyType(fog_s), MappingProxyType(cloud_s))
+    return LatencyBreakdown(transmission, propagation, tuple(fog_s), tuple(cloud_s))
 
 
 class FogEnvironment:
@@ -312,8 +309,7 @@ class FogEnvironment:
 
         stress = self.stress
         started = now = clock.now
-        # Fog busy time by module position: the breakdown's fog mapping is in
-        # module order, so each slot receives the same adds as a by-name sum.
+        # Fog busy time by module position, as the breakdown's fog seconds are.
         busy = [0.0] * k
         uplink_units = 0.0
         per_unit = profile.uplink_seconds_per_raw_unit
@@ -333,7 +329,7 @@ class FogEnvironment:
             # figures again: they are worked out only for a new one.
             if parts is not last:
                 last = parts
-                fog = tuple(parts.fog_module_s.values())
+                fog = parts.fog_s
                 units = parts.transmission_s / per_unit if per_unit > 0 else 0.0
                 total = parts.total_s
                 if not 0.0 <= total < math.inf:     # negative, infinite or NaN

@@ -10,7 +10,9 @@ bit-identical stress trajectories.  It simulates each strategy x experiment
 once and then scores those outcomes under every (pricing, weights) cell
 asked for: `evaluate` asks for one cell, `sweep` for its whole grid.  That
 is sound because a strategy that does not learn never sees prices or
-weights, so only non-learning strategies are accepted.  All simulated
+weights, so only non-learning strategies are accepted.  Each command
+computes all of its results and then makes one `_emit` call, which alone
+creates the output directory.  All simulated
 outputs are reproducible byte-for-byte for a given config hash and seed;
 only the decision-latency command measures real wall-clock time and is
 exempt from that guarantee.
@@ -45,6 +47,7 @@ from .agent import (
 from .env import STATE_FACTORS, FogEnvironment, request_latency_breakdown
 from .model import FOG_PRICE_RATIO_GRID, PricingModel, UtilityWeights
 from .profiles import (
+    FD_TRANSMISSION_CHAIN_S,
     ApplicationProfile,
     read_json_file,
     record_from_dict,
@@ -54,10 +57,6 @@ from .profiles import (
 from .seeding import derive_seed
 
 RUN_FORMAT_VERSION = 1
-
-# Measured per-frame uplink times the video pipeline is calibrated against,
-# indexed by the number of fog-hosted stages.
-FD_TRANSMISSION_CHAIN_S = (2.28, 0.77, 0.52, 0.11)
 CALIBRATION_REL_TOL = 0.02
 
 
@@ -134,13 +133,15 @@ class BoxplotStats:
         if arr.size == 0:
             raise ValueError("need at least one sample")
         q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+        minimum, maximum = float(arr.min()), float(arr.max())
+        # The exact mean lies in [min, max]; the rounded one can miss by an ulp.
         return cls(
-            minimum=float(arr.min()),
+            minimum=minimum,
             q1=float(q1),
             median=float(median),
-            mean=float(arr.mean()),
+            mean=min(max(float(arr.mean()), minimum), maximum),
             q3=float(q3),
-            maximum=float(arr.max()),
+            maximum=maximum,
             count=int(arr.size),
         )
 
@@ -166,29 +167,45 @@ class RunArtifacts:
 
 # -- file emission -----------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows, cfg_hash: str, master_seed: int) -> None:
-    text = io.StringIO()
-    text.write(f"# config_hash={cfg_hash} master_seed={master_seed}\n")
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text_atomically(path, text.getvalue())
+def _emit(out_dir: str | Path, command: str, cfg: ExperimentConfig, tables: dict,
+          summary: dict, checkpoint: tuple[DQNAgent, str] | None = None) -> dict[str, Path]:
+    """Create ``out_dir`` and write a command's results there; returns the files by name.
 
-
-def _write_run_json(out_dir: Path, command: str, cfg: ExperimentConfig, cfg_hash: str,
-                    outputs: dict[str, Path], summary: dict) -> Path:
-    path = out_dir / "run.json"
+    Each table ``name -> (header, rows)`` becomes ``<name>.csv`` under a
+    ``# config_hash=... master_seed=...`` line, ``checkpoint`` (an agent and
+    its profile's name) becomes ``checkpoint.json``, and ``run.json`` lists them.
+    """
+    cfg_hash = config_hash(cfg)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files: dict[str, Path] = {}
+    for name, (header, rows) in tables.items():
+        text = io.StringIO()
+        text.write(f"# config_hash={cfg_hash} master_seed={cfg.master_seed}\n")
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        files[name] = out_dir / f"{name}.csv"
+        write_text_atomically(files[name], text.getvalue())
+    if checkpoint is not None:
+        agent, profile_name = checkpoint
+        files["checkpoint"] = out_dir / "checkpoint.json"
+        save_checkpoint(agent, files["checkpoint"], profile_name=profile_name,
+                        provenance=Provenance(config_hash=cfg_hash, master_seed=cfg.master_seed,
+                                              weights=cfg.weights))
     payload = {
         "format_version": RUN_FORMAT_VERSION,
         "command": command,
         "config_hash": cfg_hash,
         "master_seed": cfg.master_seed,
         "config": asdict(cfg),
-        "outputs": {k: p.name for k, p in sorted(outputs.items())},
+        "outputs": {k: p.name for k, p in sorted(files.items())},
         "summary": summary,
     }
-    write_text_atomically(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    return path
+    files["run"] = out_dir / "run.json"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    write_text_atomically(files["run"], text)
+    return files
 
 
 # -- evaluation core ---------------------------------------------------------
@@ -274,81 +291,52 @@ def _reject_repeats(values: list, what: str) -> None:
 # -- commands ----------------------------------------------------------------
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
-    """Train the learner and emit learning_curve.csv plus a checkpoint.
-
-    The output directory is created only once training has succeeded.
-    """
+    """Train the learner and emit learning_curve.csv plus a checkpoint."""
     profile = cfg.resolved_profile()
-    cfg_hash = config_hash(cfg)
     agent = build_agent(cfg, profile)
     curve = train(
         profile, agent, cfg.resolved_episodes(), cfg.pricing, cfg.weights,
         master_seed=cfg.master_seed, deployments=cfg.deployments_per_episode,
     )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / "learning_curve.csv"
-    _write_csv(
-        curve_path, ["episode", "utility"],
-        [(i + 1, u) for i, u in enumerate(curve)], cfg_hash, cfg.master_seed,
-    )
-    ckpt_path = out_dir / "checkpoint.json"
-    save_checkpoint(
-        agent, ckpt_path, profile_name=profile.name,
-        provenance=Provenance(
-            config_hash=cfg_hash, master_seed=cfg.master_seed, weights=cfg.weights,
-        ),
-    )
-    files = {"learning_curve": curve_path, "checkpoint": ckpt_path}
-    files["run"] = _write_run_json(
-        out_dir, "train", cfg, cfg_hash, files,
+    files = _emit(
+        out_dir, "train", cfg,
+        {"learning_curve": (["episode", "utility"], [(i + 1, u) for i, u in enumerate(curve)])},
         summary={
             "episodes": len(curve),
             "first_episode_utility": curve[0],
             "last_episode_utility": curve[-1],
             "epsilon_final": agent.epsilon,
         },
+        checkpoint=(agent, profile.name),
     )
-    return RunArtifacts(config_hash=cfg_hash, files=files, learning_curve=curve)
+    return RunArtifacts(config_hash=config_hash(cfg), files=files, learning_curve=curve)
 
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Path) -> RunArtifacts:
     """Compare the trained policy with every static plan on shared experiments."""
     profile = cfg.resolved_profile()
-    cfg_hash = config_hash(cfg)
     strategies: dict[str, object] = dict(static_strategies(profile))
     strategies["context-aware"] = _load_policy(checkpoint, profile)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     [results] = evaluate_strategies(
         profile, strategies, [(cfg.pricing, cfg.weights)],
         experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
         deployments=cfg.deployments_per_episode,
     )
-    files: dict[str, Path] = {}
-    boxplots: dict[str, BoxplotStats] = {}
-    for name, episodes in results.items():
-        utilities = [ep.utility for ep in episodes]
-        path = out_dir / f"utilities_{name}.csv"
-        _write_csv(
-            path, ["experiment", "utility"],
-            [(i, u) for i, u in enumerate(utilities)], cfg_hash, cfg.master_seed,
-        )
-        files[f"utilities_{name}"] = path
-        boxplots[name] = BoxplotStats.from_samples(utilities)
-    box_path = out_dir / "boxplots.csv"
-    _write_csv(
-        box_path,
+    utilities = {name: [ep.utility for ep in episodes] for name, episodes in results.items()}
+    boxplots = {name: BoxplotStats.from_samples(u) for name, u in utilities.items()}
+    tables = {
+        f"utilities_{name}": (["experiment", "utility"], list(enumerate(u)))
+        for name, u in utilities.items()
+    }
+    tables["boxplots"] = (
         ["approach", "count", "min", "q1", "median", "mean", "q3", "max"],
         [[name, stats.count, *stats.as_row()] for name, stats in sorted(boxplots.items())],
-        cfg_hash, cfg.master_seed,
     )
-    files["boxplots"] = box_path
-    files["run"] = _write_run_json(
-        out_dir, "evaluate", cfg, cfg_hash, files,
+    files = _emit(
+        out_dir, "evaluate", cfg, tables,
         summary={name: stats.median for name, stats in sorted(boxplots.items())},
     )
-    return RunArtifacts(config_hash=cfg_hash, files=files, boxplots=boxplots)
+    return RunArtifacts(config_hash=config_hash(cfg), files=files, boxplots=boxplots)
 
 
 def cmd_sweep(
@@ -376,12 +364,9 @@ def cmd_sweep(
         for ratio in ratios for weights in weight_grid
     ]
     profile = cfg.resolved_profile()
-    cfg_hash = config_hash(cfg)
     strategies: dict[str, object] = dict(static_strategies(profile))
     if checkpoint is not None:
         strategies["context-aware"] = _load_policy(checkpoint, profile)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     per_cell = evaluate_strategies(
         profile, strategies, cells,
         experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
@@ -402,28 +387,14 @@ def cmd_sweep(
         for ratio, results in zip(ratios, per_cell[::len(weight_grid)])
         for name, episodes in results.items()
     }
+    cells_header = ["fog_price_ratio", "qos_weight", "cost_weight", "approach", "count",
+                    "min", "q1", "median", "mean", "q3", "max"]
     cost_rows = [[ratio, name, cost] for (ratio, name), cost in mean_costs.items()]
-
-    files: dict[str, Path] = {}
-    cells_path = out_dir / "sweep_cells.csv"
-    _write_csv(
-        cells_path,
-        ["fog_price_ratio", "qos_weight", "cost_weight", "approach", "count",
-         "min", "q1", "median", "mean", "q3", "max"],
-        cell_rows, cfg_hash, cfg.master_seed,
-    )
-    files["sweep_cells"] = cells_path
-    costs_path = out_dir / "costs_vs_lambda.csv"
-    _write_csv(
-        costs_path, ["fog_price_ratio", "approach", "mean_deployment_cost"],
-        cost_rows, cfg_hash, cfg.master_seed,
-    )
-    files["costs_vs_lambda"] = costs_path
-    files["run"] = _write_run_json(
-        out_dir, "sweep", cfg, cfg_hash, files,
-        summary={"cells": len(cells), "ratios": ratios},
-    )
-    return RunArtifacts(config_hash=cfg_hash, files=files, mean_costs=mean_costs)
+    files = _emit(out_dir, "sweep", cfg, {
+        "sweep_cells": (cells_header, cell_rows),
+        "costs_vs_lambda": (["fog_price_ratio", "approach", "mean_deployment_cost"], cost_rows),
+    }, summary={"cells": len(cells), "ratios": ratios})
+    return RunArtifacts(config_hash=config_hash(cfg), files=files, mean_costs=mean_costs)
 
 
 # -- calibration -------------------------------------------------------------
@@ -439,7 +410,7 @@ class CalibrationCheck:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    profile_name: str
+    profile: ApplicationProfile
     breakdowns: tuple           # plan k's breakdown at index k
     checks: tuple[CalibrationCheck, ...]
 
@@ -448,10 +419,10 @@ class CalibrationReport:
         return all(c.ok for c in self.checks)
 
     def lines(self) -> list[str]:
-        out = [f"profile: {self.profile_name}"]
+        out = [f"profile: {self.profile.name}"]
         for k, b in enumerate(self.breakdowns):
-            modules = {**b.fog_module_s, **b.cloud_module_s}
-            module_text = ", ".join(f"{name}={seconds:.6f}s" for name, seconds in modules.items())
+            seconds = zip(self.profile.modules, b.fog_s + b.cloud_s)
+            module_text = ", ".join(f"{m.name}={s:.6f}s" for m, s in seconds)
             out.append(
                 f"plan fog={k}: transmission={b.transmission_s:.5f}s "
                 f"propagation={b.propagation_s:.5f}s total={b.total_s:.5f}s [{module_text}]"
@@ -494,7 +465,7 @@ def cmd_calibrate(profile: ApplicationProfile | None = None) -> CalibrationRepor
                 rel_error=abs(seconds - 0.0035) / 0.0035, ok=ok,
             ))
     return CalibrationReport(
-        profile_name=profile.name, breakdowns=breakdowns, checks=tuple(checks),
+        profile=profile, breakdowns=breakdowns, checks=tuple(checks),
     )
 
 
@@ -517,21 +488,14 @@ def measure_decision_latency(network, n: int, seed: int = 0):
 def cmd_latency(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Path,
                 n: int) -> RunArtifacts:
     """Measure greedy decision overhead and emit the six-column summary."""
-    cfg_hash = config_hash(cfg)
     policy = _load_policy(checkpoint, cfg.resolved_profile())
     stats, _samples = measure_decision_latency(
         policy.network, n=n, seed=cfg.master_seed,
     )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "latency.csv"
-    _write_csv(
-        path, ["min_ms", "q1_ms", "median_ms", "mean_ms", "q3_ms", "max_ms"],
-        [stats.as_row()], cfg_hash, cfg.master_seed,
-    )
-    files = {"latency": path}
-    files["run"] = _write_run_json(
-        out_dir, "latency", cfg, cfg_hash, files,
+    files = _emit(
+        out_dir, "latency", cfg,
+        {"latency": (["min_ms", "q1_ms", "median_ms", "mean_ms", "q3_ms", "max_ms"],
+                     [stats.as_row()])},
         summary={"samples": stats.count, "max_ms": stats.maximum},
     )
-    return RunArtifacts(config_hash=cfg_hash, files=files, latency=stats)
+    return RunArtifacts(config_hash=config_hash(cfg), files=files, latency=stats)

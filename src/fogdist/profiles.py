@@ -27,12 +27,14 @@ from .model import MAX_CPU_UNITS, ResourceUsage
 PROFILE_FORMAT_VERSION = 1
 
 # Video-pipeline calibration, derived from the measured per-frame uplink
-# times 2.28 s (raw), 0.77 s (after greyscale), 0.52 s (after motion
-# filtering) and 0.11 s (final result):
-FD_RAW_UPLINK_S = 2.28
+# times, indexed by the number of fog-hosted stages: raw, after greyscale,
+# after motion filtering, and the final result.
+FD_TRANSMISSION_CHAIN_S = (2.28, 0.77, 0.52, 0.11)
+FD_RAW_UPLINK_S, _GREY_UPLINK_S, _MOTION_UPLINK_S, _RESULT_UPLINK_S = FD_TRANSMISSION_CHAIN_S
 FD_GREY_DATA_OUT = 1.0 / 3.0            # greyscale emits a third of the frame
-FD_MOTION_PASS = 0.52 / 0.77            # ~0.675 of frames contain motion
-FD_FACE_DATA_OUT = (0.11 * 0.77) / (2.28 * 0.52 * FD_GREY_DATA_OUT)
+FD_MOTION_PASS = _MOTION_UPLINK_S / _GREY_UPLINK_S      # ~0.675 of frames contain motion
+FD_FACE_DATA_OUT = (_RESULT_UPLINK_S * _GREY_UPLINK_S) / (
+    FD_RAW_UPLINK_S * _MOTION_UPLINK_S * FD_GREY_DATA_OUT)
 FD_GREY_COMPUTE_S = 0.003
 FD_MOTION_COMPUTE_S = 0.004
 FD_FACE_FOG_EXTRA_S = 0.2               # observed slowdown of detection on the board
@@ -103,7 +105,8 @@ class ApplicationProfile:
         names = [m.name for m in self.modules]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
-            # Stage times are keyed by module name, so a repeat would drop a stage.
+            # Names label the stages in calibrate's report and in validation
+            # errors, so a repeat would leave two stages that read the same.
             raise ValueError(f"profile {self.name}: module name(s) {repeated} used more than once")
 
     @property

@@ -260,7 +260,7 @@ def stage_seconds(compute_s: float, cpu_units: float, available_units: float) ->
                            demand=ResourceUsage(cpu_units=cpu_units))
     profile = ApplicationProfile(name="one-stage", modules=(module,))
     parts = request_latency_breakdown(profile, 1, available_units=available_units)
-    return parts.fog_module_s["stage"]
+    return parts.fog_s[0]
 
 
 def test_fog_stage_never_speeds_up():
@@ -317,7 +317,7 @@ def test_breakdown_filtering_weights_downstream_stages():
     b = request_latency_breakdown(prof, 0)
     face = next(m for m in prof.modules if m.name == "face")
     motion = next(m for m in prof.modules if m.name == "motion")
-    assert b.cloud_module_s["face"] == pytest.approx(
+    assert b.cloud_s[2] == pytest.approx(
         motion.pass_fraction * face.compute_s, rel=1e-12)
 
 
@@ -327,7 +327,7 @@ def test_breakdown_fog_stage_pays_its_extra_latency():
     face = next(m for m in prof.modules if m.name == "face")
     motion = next(m for m in prof.modules if m.name == "motion")
     # unstressed: compute + the 0.2 s fog penalty, weighted by survival
-    assert full_fog.fog_module_s["face"] == pytest.approx(
+    assert full_fog.fog_s[2] == pytest.approx(
         motion.pass_fraction * (face.compute_s + 0.2), rel=1e-12)
 
 
@@ -361,14 +361,14 @@ def test_breakdown_total_lies_between_the_idle_and_the_floor_node(profile, avail
 
 
 def test_breakdown_fields_cannot_be_assigned():
-    """Neither the fields nor the module mappings: requests share a breakdown."""
+    """Neither the fields nor the module seconds: requests share a breakdown."""
     b = request_latency_breakdown(fd_profile(), 1)
     for name in b._fields:
         with pytest.raises(AttributeError):
             setattr(b, name, 0.0)
-    for mapping in (b.fog_module_s, b.cloud_module_s):
+    for seconds in (b.fog_s, b.cloud_s):
         with pytest.raises(TypeError):
-            mapping["greyscale"] = 0.0
+            seconds[0] = 0.0
 
 
 _MEMO_PROFILES = (fd_profile(), ipokemon_profile(), heavy_profile())
@@ -711,8 +711,8 @@ def reference_execute(env: FogEnvironment, k: int, clock: SimClock) -> Deploymen
             profile, k, available_units=CAPACITY_UNITS - env.stress.load,
             fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,
         )
-        for name, seconds in parts.fog_module_s.items():
-            busy[name] += seconds
+        for module, seconds in zip(profile.modules, parts.fog_s):
+            busy[module.name] += seconds
         uplink_units += parts.transmission_s / profile.uplink_seconds_per_raw_unit \
             if profile.uplink_seconds_per_raw_unit > 0 else 0.0
         clock.advance(parts.total_s)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fogdist import harness
@@ -17,10 +17,8 @@ from fogdist.agent import (
     AgentConfig,
     DQNAgent,
     GreedyNetworkStrategy,
-    Provenance,
     StaticStrategy,
     network_architecture,
-    save_checkpoint,
     score_episode,
     simulate_episode,
     train,
@@ -207,6 +205,20 @@ def test_boxplot_single_sample():
     stats = BoxplotStats.from_samples([7.5])
     assert stats.as_row() == [7.5] * 6
     assert stats.count == 1
+
+
+_FINITE = st.floats(-1e300, 1e300)     # wider spans overflow the quartile arithmetic
+
+
+@settings(max_examples=300, deadline=None)
+@example(samples=[-0.0006081010000000004] * 6)
+@given(samples=st.lists(_FINITE, min_size=1, max_size=50)
+       | st.builds(lambda x, n: [x] * n, _FINITE, st.integers(1, 50)))
+def test_boxplot_stats_summarise_any_finite_samples(samples):
+    """Equal values included: their rounded mean can land an ulp outside [min, max]."""
+    stats = BoxplotStats.from_samples(samples)
+    assert stats.minimum <= stats.mean <= stats.maximum
+    assert stats.count == len(samples)
 
 
 def test_boxplot_validation():
@@ -497,21 +509,21 @@ def test_a_write_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeyp
     """CSV rows that fail part-way, and a disk write that fails after half its
     bytes, leave each output absent or with its old bytes, and no temporary
     file beside it."""
+    cfg = small_config()
+
     def rows_that_break():
         yield [1, 2]
         raise RuntimeError("row 2 is broken")
 
     with pytest.raises(RuntimeError, match="row 2"):
-        harness._write_csv(tmp_path / "rows.csv", ["a", "b"], rows_that_break(), "hash", 7)
+        harness._emit(tmp_path, "train", cfg, {"rows": (["a", "b"], rows_that_break())}, {})
     assert list(tmp_path.iterdir()) == []
 
-    cfg = small_config()
     writes = {
-        "rows.csv": lambda: harness._write_csv(tmp_path / "rows.csv", ["a"], [[1]], "hash", 7),
-        "run.json": lambda: harness._write_run_json(tmp_path, "train", cfg, "hash", {}, {}),
-        "checkpoint.json": lambda: save_checkpoint(
-            build_agent(cfg, fd_profile()), tmp_path / "checkpoint.json", "fd",
-            Provenance(config_hash="hash", master_seed=7, weights=cfg.weights)),
+        "rows.csv": lambda: harness._emit(tmp_path, "train", cfg, {"rows": (["a"], [[1]])}, {}),
+        "run.json": lambda: harness._emit(tmp_path, "train", cfg, {}, {}),
+        "checkpoint.json": lambda: harness._emit(
+            tmp_path, "train", cfg, {}, {}, checkpoint=(build_agent(cfg, fd_profile()), "fd")),
     }
     for name in writes:
         (tmp_path / name).write_text("old", encoding="utf-8")
@@ -534,7 +546,7 @@ def test_a_write_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeyp
 def test_calibrate_passes_for_builtin_video_profile():
     report = cmd_calibrate()
     assert report.passed
-    assert report.profile_name == "fd"
+    assert report.profile.name == "fd"
     assert len(report.breakdowns) == 4
     labels = [c.label for c in report.checks]
     assert "transmission[fog=0]" in labels
@@ -654,6 +666,48 @@ def test_cli_sweep_names_the_flag_of_an_empty_ratio_list(tmp_path, cli_config, c
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: --ratios: must list at least one value\n"
     assert not out_dir.exists()
+
+
+def test_cli_sweep_that_fails_in_simulation_creates_no_out_dir(tmp_path, capsys):
+    """A profile whose stages take no time fails on its first deployment."""
+    profile_path = tmp_path / "instant.json"
+    profile_path.write_text(json.dumps({"name": "instant", "modules": [{"name": "noop"}]}))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"profile": str(profile_path), "eval_experiments": 2}))
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: outcome.duration_s: must be > 0, got 0.0\n"
+    assert not out_dir.exists()
+
+
+def test_cli_evaluate_that_fails_in_simulation_creates_no_out_dir(tmp_path, cli_config, capsys,
+                                                                  monkeypatch):
+    train_dir = tmp_path / "train"
+    assert main(["train", "--config", str(cli_config), "--out-dir", str(train_dir)]) == EXIT_OK
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise ValueError("simulation failed")
+
+    monkeypatch.setattr(harness, "evaluate_strategies", fail)
+    out_dir = tmp_path / "eval"
+    code = main(["evaluate", "--config", str(cli_config), "--out-dir", str(out_dir),
+                 "--checkpoint", str(train_dir / "checkpoint.json")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: simulation failed\n"
+    assert not out_dir.exists()
+
+
+def test_cli_sweep_summarises_cost_only_utilities_that_are_all_equal(tmp_path, capsys):
+    """Under cost-only weights at ratio 1, ipokemon's s2 earns six equal
+    utilities whose rounded mean lies outside them."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"profile": "ipokemon", "eval_experiments": 6}))
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg_path), "--seed", "2026", "--out-dir", str(out_dir),
+                 "--ratios", "1.0", "--weights=0:-1"])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert (out_dir / "sweep_cells.csv").exists()
 
 
 def test_cli_overrides_reach_the_config(tmp_path, cli_config):

@@ -69,7 +69,7 @@ def test_heavy_profile_cloud_plan_is_cheapest_everywhere():
             if k == 0:
                 usage = ResourceUsage()
             else:
-                busy_frac = sum(b.fog_module_s.values()) * requests / duration_s
+                busy_frac = sum(b.fog_s) * requests / duration_s
                 demand = prof.modules[0].demand
                 usage = ResourceUsage(
                     cpu_units=demand.cpu_units * busy_frac,
@@ -200,7 +200,7 @@ def test_the_generated_cases_cover_every_section():
 
 
 def test_repeated_module_names_are_rejected():
-    """Stage times are keyed by module name, so a repeated name would drop a stage."""
+    """Names label the stages in calibrate's report and in validation errors."""
     data = json.loads(json.dumps(profile_to_dict(fd_profile())))
     data["modules"][1]["name"] = "greyscale"
     with pytest.raises(ValueError, match=r"^my\.json: profile fd: module name\(s\) \['greyscale'\] "
