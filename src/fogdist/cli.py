@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 on configuration/validation errors, 2 when a
-calibration check fails.
+Exit codes: 0 on success, 1 on configuration/validation errors and on an
+input or output path that cannot be used, 2 when a calibration check fails.
 """
 from __future__ import annotations
 
@@ -76,35 +76,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flagged(flags: str, build):
+    """``build()``; a ValueError it raises is prefixed with ``flags``, the
+    command-line flags and values it was built from."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
+
+
 def _config_from_args(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else config_from_dict({})
-    updates = {}
     if args.seed is not None:
-        updates["master_seed"] = args.seed
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     if args.episodes is not None:
-        updates["episodes"] = args.episodes
+        cfg = _flagged(f"--episodes {args.episodes}",
+                       lambda: dataclasses.replace(cfg, episodes=args.episodes))
     if args.fog_price_ratio is not None:
-        updates["pricing"] = dataclasses.replace(
-            cfg.pricing, fog_price_ratio=args.fog_price_ratio
-        )
+        cfg = _flagged(f"--lambda {args.fog_price_ratio}", lambda: dataclasses.replace(
+            cfg, pricing=dataclasses.replace(cfg.pricing, fog_price_ratio=args.fog_price_ratio)))
     if args.qos_weight is not None or args.cost_weight is not None:
-        weights = UtilityWeights(
+        flags = " ".join(f"{flag} {value}" for flag, value in
+                         (("--alpha", args.qos_weight), ("--beta", args.cost_weight))
+                         if value is not None)
+        cfg = _flagged(flags, lambda: dataclasses.replace(cfg, weights=UtilityWeights(
             qos_weight=args.qos_weight if args.qos_weight is not None else cfg.weights.qos_weight,
             cost_weight=args.cost_weight if args.cost_weight is not None else cfg.weights.cost_weight,
-        )
-        updates["weights"] = weights
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+        )))
+    return cfg
 
 
 def _parse_grid(flag: str, items, parse) -> list:
     """Each item parsed; a ValueError names the flag and the bad item, or
     the flag alone when there is no item."""
-    values = []
-    for item in items:
-        try:
-            values.append(parse(item))
-        except ValueError as exc:
-            raise ValueError(f"{flag} {item!r}: {exc}") from None
+    values = [_flagged(f"{flag} {item!r}", lambda: parse(item)) for item in items]
     if not values:
         raise ValueError(f"{flag}: must list at least one value")
     return values
@@ -119,18 +124,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "train":
-            cfg = _config_from_args(args)
-            artifacts = cmd_train(cfg, args.out_dir)
-            curve = artifacts.learning_curve
+            curve = cmd_train(_config_from_args(args), args.out_dir)
             print(f"trained {len(curve)} episodes "
                   f"(first {curve[0]:.4f}, last {curve[-1]:.4f}); "
                   f"files in {args.out_dir}")
             return EXIT_OK
 
         if args.command == "evaluate":
-            cfg = _config_from_args(args)
-            artifacts = cmd_evaluate(cfg, args.checkpoint, args.out_dir)
-            for name, stats in sorted(artifacts.boxplots.items()):
+            boxplots = cmd_evaluate(_config_from_args(args), args.checkpoint, args.out_dir)
+            for name, stats in sorted(boxplots.items()):
                 print(f"{name}: median={stats.median:.5f} mean={stats.mean:.5f} "
                       f"iqr={stats.iqr:.5f} (n={stats.count})")
             return EXIT_OK
@@ -140,11 +142,11 @@ def main(argv=None) -> int:
             ratios = _parse_grid("--ratios", [r for r in args.ratios.split(",") if r], float)
             weight_grid = None if args.weights is None else \
                 _parse_grid("--weights", args.weights, _weights)
-            artifacts = cmd_sweep(
+            mean_costs = cmd_sweep(
                 cfg, args.out_dir, ratio_grid=ratios, weight_grid=weight_grid,
                 checkpoint=args.checkpoint,
             )
-            for (ratio, name), cost in sorted(artifacts.mean_costs.items()):
+            for (ratio, name), cost in sorted(mean_costs.items()):
                 print(f"ratio={ratio}: {name} mean deployment cost {cost:.8f}")
             return EXIT_OK
 
@@ -157,14 +159,13 @@ def main(argv=None) -> int:
         if args.command == "latency":
             if args.samples < 1:
                 raise ValueError(f"--samples {args.samples}: must be >= 1")
-            cfg = _config_from_args(args)
-            artifacts = cmd_latency(cfg, args.checkpoint, args.out_dir, n=args.samples)
-            stats = artifacts.latency
+            stats = cmd_latency(_config_from_args(args), args.checkpoint, args.out_dir,
+                                n=args.samples)
             print("decision latency (ms): "
                   f"min={stats.minimum:.3f} q1={stats.q1:.3f} median={stats.median:.3f} "
                   f"mean={stats.mean:.3f} q3={stats.q3:.3f} max={stats.maximum:.3f}")
             return EXIT_OK
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -11,11 +11,14 @@ once and then scores those outcomes under every (pricing, weights) cell
 asked for: `evaluate` asks for one cell, `sweep` for its whole grid.  That
 is sound because a strategy that does not learn never sees prices or
 weights, so only non-learning strategies are accepted.  Each command
-computes all of its results and then makes one `_emit` call, which alone
-creates the output directory.  All simulated
-outputs are reproducible byte-for-byte for a given config hash and seed;
-only the decision-latency command measures real wall-clock time and is
-exempt from that guarantee.
+computes all of its results, makes one `_emit` call, which alone creates
+the output directory, and returns the one result it computed: `cmd_train`
+the learning curve, `cmd_evaluate` the utility summary by approach,
+`cmd_sweep` the mean deployment cost by (ratio, approach) and
+`cmd_latency` the decision-latency summary.  All simulated outputs are
+reproducible byte-for-byte for a given config hash and seed; only the
+decision-latency command measures real wall-clock time and is exempt from
+that guarantee.
 """
 from __future__ import annotations
 
@@ -58,6 +61,7 @@ from .seeding import derive_seed
 
 RUN_FORMAT_VERSION = 1
 CALIBRATION_REL_TOL = 0.02
+FD_STAGES = ("greyscale", "motion", "face")     # the stages fd's calibration checks
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 class BoxplotStats:
     """Five-number summary plus the mean, quartiles by linear interpolation."""
 
+    COLUMNS = ("min", "q1", "median", "mean", "q3", "max")   # the order of `as_row`
+
     minimum: float
     q1: float
     median: float
@@ -153,23 +159,11 @@ class BoxplotStats:
         return self.q3 - self.q1
 
 
-@dataclass
-class RunArtifacts:
-    """What a harness command produced, plus where it wrote it."""
-
-    config_hash: str
-    files: dict[str, Path] = field(default_factory=dict)
-    learning_curve: list[float] | None = None
-    boxplots: dict[str, BoxplotStats] | None = None
-    mean_costs: dict | None = None
-    latency: BoxplotStats | None = None
-
-
 # -- file emission -----------------------------------------------------------
 
 def _emit(out_dir: str | Path, command: str, cfg: ExperimentConfig, tables: dict,
-          summary: dict, checkpoint: tuple[DQNAgent, str] | None = None) -> dict[str, Path]:
-    """Create ``out_dir`` and write a command's results there; returns the files by name.
+          summary: dict, checkpoint: tuple[DQNAgent, str] | None = None) -> None:
+    """Create ``out_dir`` and write a command's results there.
 
     Each table ``name -> (header, rows)`` becomes ``<name>.csv`` under a
     ``# config_hash=... master_seed=...`` line, ``checkpoint`` (an agent and
@@ -202,10 +196,8 @@ def _emit(out_dir: str | Path, command: str, cfg: ExperimentConfig, tables: dict
         "outputs": {k: p.name for k, p in sorted(files.items())},
         "summary": summary,
     }
-    files["run"] = out_dir / "run.json"
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    write_text_atomically(files["run"], text)
-    return files
+    write_text_atomically(out_dir / "run.json", text)
 
 
 # -- evaluation core ---------------------------------------------------------
@@ -282,6 +274,21 @@ def _load_policy(checkpoint: str | Path, profile: ApplicationProfile) -> GreedyN
     return agent.greedy_strategy()
 
 
+def _evaluate_against_static(cfg: ExperimentConfig, checkpoint: str | Path | None,
+                             cells: list) -> list[dict[str, list[EpisodeResult]]]:
+    """`evaluate_strategies` over ``cells`` for every static plan, plus the
+    checkpoint's greedy policy as "context-aware" when a checkpoint is given."""
+    profile = cfg.resolved_profile()
+    strategies: dict[str, object] = dict(static_strategies(profile))
+    if checkpoint is not None:
+        strategies["context-aware"] = _load_policy(checkpoint, profile)
+    return evaluate_strategies(
+        profile, strategies, cells,
+        experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
+        deployments=cfg.deployments_per_episode,
+    )
+
+
 def _reject_repeats(values: list, what: str) -> None:
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
@@ -290,15 +297,15 @@ def _reject_repeats(values: list, what: str) -> None:
 
 # -- commands ----------------------------------------------------------------
 
-def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
-    """Train the learner and emit learning_curve.csv plus a checkpoint."""
+def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> list[float]:
+    """Train the learner, emit learning_curve.csv plus a checkpoint; returns the curve."""
     profile = cfg.resolved_profile()
     agent = build_agent(cfg, profile)
     curve = train(
         profile, agent, cfg.resolved_episodes(), cfg.pricing, cfg.weights,
         master_seed=cfg.master_seed, deployments=cfg.deployments_per_episode,
     )
-    files = _emit(
+    _emit(
         out_dir, "train", cfg,
         {"learning_curve": (["episode", "utility"], [(i + 1, u) for i, u in enumerate(curve)])},
         summary={
@@ -309,19 +316,14 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> RunArtifacts:
         },
         checkpoint=(agent, profile.name),
     )
-    return RunArtifacts(config_hash=config_hash(cfg), files=files, learning_curve=curve)
+    return curve
 
 
-def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Path) -> RunArtifacts:
-    """Compare the trained policy with every static plan on shared experiments."""
-    profile = cfg.resolved_profile()
-    strategies: dict[str, object] = dict(static_strategies(profile))
-    strategies["context-aware"] = _load_policy(checkpoint, profile)
-    [results] = evaluate_strategies(
-        profile, strategies, [(cfg.pricing, cfg.weights)],
-        experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
-        deployments=cfg.deployments_per_episode,
-    )
+def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path,
+                 out_dir: str | Path) -> dict[str, BoxplotStats]:
+    """Compare the trained policy with every static plan on shared experiments;
+    returns the utility summary by approach."""
+    [results] = _evaluate_against_static(cfg, checkpoint, [(cfg.pricing, cfg.weights)])
     utilities = {name: [ep.utility for ep in episodes] for name, episodes in results.items()}
     boxplots = {name: BoxplotStats.from_samples(u) for name, u in utilities.items()}
     tables = {
@@ -329,14 +331,14 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | P
         for name, u in utilities.items()
     }
     tables["boxplots"] = (
-        ["approach", "count", "min", "q1", "median", "mean", "q3", "max"],
+        ["approach", "count", *BoxplotStats.COLUMNS],
         [[name, stats.count, *stats.as_row()] for name, stats in sorted(boxplots.items())],
     )
-    files = _emit(
+    _emit(
         out_dir, "evaluate", cfg, tables,
         summary={name: stats.median for name, stats in sorted(boxplots.items())},
     )
-    return RunArtifacts(config_hash=config_hash(cfg), files=files, boxplots=boxplots)
+    return boxplots
 
 
 def cmd_sweep(
@@ -345,11 +347,11 @@ def cmd_sweep(
     ratio_grid=FOG_PRICE_RATIO_GRID,
     weight_grid=None,
     checkpoint: str | Path | None = None,
-) -> RunArtifacts:
+) -> dict[tuple[float, str], float]:
     """Cross a fog-price grid with a weight grid; summarise utilities and costs.
 
     Static plans are always included; the trained policy joins the grid when
-    a checkpoint is given.
+    a checkpoint is given.  Returns the mean deployment cost by (ratio, approach).
     """
     ratios = list(ratio_grid)
     weight_grid = [cfg.weights] if weight_grid is None else list(weight_grid)
@@ -363,15 +365,7 @@ def cmd_sweep(
         (replace(cfg.pricing, fog_price_ratio=ratio), weights)
         for ratio in ratios for weights in weight_grid
     ]
-    profile = cfg.resolved_profile()
-    strategies: dict[str, object] = dict(static_strategies(profile))
-    if checkpoint is not None:
-        strategies["context-aware"] = _load_policy(checkpoint, profile)
-    per_cell = evaluate_strategies(
-        profile, strategies, cells,
-        experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
-        deployments=cfg.deployments_per_episode,
-    )
+    per_cell = _evaluate_against_static(cfg, checkpoint, cells)
     cell_rows = []
     for (pricing, weights), results in zip(cells, per_cell):
         for name, episodes in results.items():
@@ -388,13 +382,13 @@ def cmd_sweep(
         for name, episodes in results.items()
     }
     cells_header = ["fog_price_ratio", "qos_weight", "cost_weight", "approach", "count",
-                    "min", "q1", "median", "mean", "q3", "max"]
+                    *BoxplotStats.COLUMNS]
     cost_rows = [[ratio, name, cost] for (ratio, name), cost in mean_costs.items()]
-    files = _emit(out_dir, "sweep", cfg, {
+    _emit(out_dir, "sweep", cfg, {
         "sweep_cells": (cells_header, cell_rows),
         "costs_vs_lambda": (["fog_price_ratio", "approach", "mean_deployment_cost"], cost_rows),
     }, summary={"cells": len(cells), "ratios": ratios})
-    return RunArtifacts(config_hash=config_hash(cfg), files=files, mean_costs=mean_costs)
+    return mean_costs
 
 
 # -- calibration -------------------------------------------------------------
@@ -442,6 +436,7 @@ def cmd_calibrate(profile: ApplicationProfile | None = None) -> CalibrationRepor
 
     For the builtin video pipeline the size-proportional transmission part
     must match the measured 2.28 / 0.77 / 0.52 / 0.11 s chain within 2%.
+    A profile named "fd" with other stages fails one check that names them.
     Other profiles are reported without assertions.
     """
     profile = profile or resolve_profile("fd")
@@ -449,7 +444,15 @@ def cmd_calibrate(profile: ApplicationProfile | None = None) -> CalibrationRepor
         request_latency_breakdown(profile, k) for k in range(profile.n_modules + 1)
     )
     checks: list[CalibrationCheck] = []
-    if profile.name == "fd":
+    stages = tuple(m.name for m in profile.modules)
+    if profile.name == "fd" and stages != FD_STAGES:
+        matching = sum(a == b for a, b in zip(stages, FD_STAGES))
+        checks.append(CalibrationCheck(
+            label=f"stages[{', '.join(stages)}] are {', '.join(FD_STAGES)}",
+            observed=float(matching), expected=float(len(FD_STAGES)),
+            rel_error=1.0 - matching / len(FD_STAGES), ok=False,
+        ))
+    elif profile.name == "fd":
         for k, expected in enumerate(FD_TRANSMISSION_CHAIN_S):
             observed = breakdowns[k].transmission_s
             rel = abs(observed - expected) / expected
@@ -457,11 +460,11 @@ def cmd_calibrate(profile: ApplicationProfile | None = None) -> CalibrationRepor
                 label=f"transmission[fog={k}]", observed=observed, expected=expected,
                 rel_error=rel, ok=rel <= CALIBRATION_REL_TOL,
             ))
-        for name in ("greyscale", "motion"):
-            seconds = next(m.compute_s for m in profile.modules if m.name == name)
+        for module in profile.modules[:2]:          # greyscale and motion
+            seconds = module.compute_s
             ok = 0.003 <= seconds <= 0.004
             checks.append(CalibrationCheck(
-                label=f"compute[{name}]", observed=seconds, expected=0.0035,
+                label=f"compute[{module.name}]", observed=seconds, expected=0.0035,
                 rel_error=abs(seconds - 0.0035) / 0.0035, ok=ok,
             ))
     return CalibrationReport(
@@ -486,16 +489,15 @@ def measure_decision_latency(network, n: int, seed: int = 0):
 
 
 def cmd_latency(cfg: ExperimentConfig, checkpoint: str | Path, out_dir: str | Path,
-                n: int) -> RunArtifacts:
-    """Measure greedy decision overhead and emit the six-column summary."""
+                n: int) -> BoxplotStats:
+    """Measure greedy decision overhead, emit the six-column summary and return it."""
     policy = _load_policy(checkpoint, cfg.resolved_profile())
     stats, _samples = measure_decision_latency(
         policy.network, n=n, seed=cfg.master_seed,
     )
-    files = _emit(
+    _emit(
         out_dir, "latency", cfg,
-        {"latency": (["min_ms", "q1_ms", "median_ms", "mean_ms", "q3_ms", "max_ms"],
-                     [stats.as_row()])},
+        {"latency": ([f"{column}_ms" for column in BoxplotStats.COLUMNS], [stats.as_row()])},
         summary={"samples": stats.count, "max_ms": stats.maximum},
     )
-    return RunArtifacts(config_hash=config_hash(cfg), files=files, latency=stats)
+    return stats

@@ -299,13 +299,16 @@ def record_from_dict(cls, data, where: str):
 
 
 def read_json_file(path: Path, what: str):
-    """The parsed content of a JSON file; a ValueError names a missing or invalid file."""
+    """The parsed content of a JSON file; a ValueError names a missing, non-UTF-8
+    or invalid file."""
     if not path.exists():
         raise ValueError(f"{what} file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} file {path}: not UTF-8 text ({exc})") from None
 
 
 def write_text_atomically(path: Path, text: str) -> None:

@@ -245,21 +245,18 @@ def test_09_decision_overhead(fd_default_agent):
 def test_10_byte_identical_reruns(tmp_path):
     cfg = config_from_dict({"episodes": 15, "eval_experiments": 15,
                             "master_seed": MASTER_SEED})
-    first_train = cmd_train(cfg, tmp_path / "t1")
-    second_train = cmd_train(cfg, tmp_path / "t2")
+    cmd_train(cfg, tmp_path / "t1")
+    cmd_train(cfg, tmp_path / "t2")
     trained = tmp_path / "t1" / "checkpoint.json"
-    first_eval = cmd_evaluate(cfg, trained, tmp_path / "e1")
-    second_eval = cmd_evaluate(cfg, trained, tmp_path / "e2")
+    cmd_evaluate(cfg, trained, tmp_path / "e1")
+    cmd_evaluate(cfg, trained, tmp_path / "e2")
     same = [
         (tmp_path / "t1" / "learning_curve.csv").read_bytes()
         == (tmp_path / "t2" / "learning_curve.csv").read_bytes(),
         (tmp_path / "t1" / "checkpoint.json").read_bytes()
         == (tmp_path / "t2" / "checkpoint.json").read_bytes(),
     ]
-    for name in first_eval.files:
-        if name == "run":
-            continue
-        same.append((tmp_path / "e1" / first_eval.files[name].name).read_bytes()
-                    == (tmp_path / "e2" / second_eval.files[name].name).read_bytes())
+    for path in sorted((tmp_path / "e1").glob("*.csv")):
+        same.append(path.read_bytes() == (tmp_path / "e2" / path.name).read_bytes())
     report(10, "same master seed reproduces every CSV byte for byte", all(same),
            f"{len(same)} files compared")

@@ -311,23 +311,22 @@ def test_static_strategies_cover_every_plan():
 
 def test_cmd_train_outputs(tmp_path):
     cfg = small_config()
-    artifacts = cmd_train(cfg, tmp_path)
-    assert len(artifacts.learning_curve) == 3
+    assert len(cmd_train(cfg, tmp_path)) == 3
     curve = (tmp_path / "learning_curve.csv").read_text().splitlines()
-    assert curve[0] == f"# config_hash={artifacts.config_hash} master_seed=99"
+    assert curve[0] == f"# config_hash={config_hash(cfg)} master_seed=99"
     assert curve[1] == "episode,utility"
     assert len(curve) == 5
     assert curve[2].startswith("1,")
     run = json.loads((tmp_path / "run.json").read_text())
     assert run["command"] == "train"
-    assert run["config_hash"] == artifacts.config_hash
+    assert run["config_hash"] == config_hash(cfg)
     assert "timestamp" not in json.dumps(run)
     assert (tmp_path / "checkpoint.json").exists()
 
 
 def test_train_checkpoint_is_format_5_with_the_weights_in_provenance(tmp_path):
     cfg = small_config(weights=UtilityWeights(qos_weight=0.0, cost_weight=-2.0))
-    artifacts = cmd_train(cfg, tmp_path)
+    cmd_train(cfg, tmp_path)
     data = json.loads((tmp_path / "checkpoint.json").read_text())
     assert data["format_version"] == 5
     assert "target_network" not in data and "schedule" not in data
@@ -335,7 +334,7 @@ def test_train_checkpoint_is_format_5_with_the_weights_in_provenance(tmp_path):
     assert type(data["decays_done"]) is int and data["decays_done"] > 0
     assert set(data["network"]) == {"weights", "biases"}
     assert data["provenance"] == {
-        "config_hash": artifacts.config_hash, "master_seed": 99,
+        "config_hash": config_hash(cfg), "master_seed": 99,
         "weights": {"qos_weight": 0.0, "cost_weight": -2.0},
     }
 
@@ -402,9 +401,9 @@ def test_greedy_evaluation_is_pinned_to_the_bit(tmp_path):
 def test_cmd_evaluate_outputs(tmp_path):
     cfg = small_config()
     cmd_train(cfg, tmp_path / "train")
-    artifacts = cmd_evaluate(cfg, tmp_path / "train" / "checkpoint.json", tmp_path / "eval")
-    assert set(artifacts.boxplots) == {"s0", "s1", "s2", "s3", "context-aware"}
-    for name in artifacts.boxplots:
+    boxplots = cmd_evaluate(cfg, tmp_path / "train" / "checkpoint.json", tmp_path / "eval")
+    assert set(boxplots) == {"s0", "s1", "s2", "s3", "context-aware"}
+    for name in boxplots:
         lines = (tmp_path / "eval" / f"utilities_{name}.csv").read_text().splitlines()
         assert lines[1] == "experiment,utility"
         assert len(lines) == 2 + cfg.eval_experiments
@@ -424,16 +423,16 @@ def test_cmd_evaluate_rejects_mismatched_checkpoint(tmp_path):
 def test_cmd_sweep_grid_and_cost_scaling(tmp_path):
     cfg = small_config(eval_experiments=3)
     weight_grid = [UtilityWeights(-1.0, 0.0), UtilityWeights(0.0, -1.0)]
-    artifacts = cmd_sweep(
+    mean_costs = cmd_sweep(
         cfg, tmp_path, ratio_grid=(0.01, 0.1, 1.0), weight_grid=weight_grid,
     )
     # 3 ratios x 4 static plans in the cost table
-    assert len(artifacts.mean_costs) == 12
+    assert len(mean_costs) == 12
     # cloud-only cost ignores the fog price ratio
-    s0 = [artifacts.mean_costs[(r, "s0")] for r in (0.01, 0.1, 1.0)]
+    s0 = [mean_costs[(r, "s0")] for r in (0.01, 0.1, 1.0)]
     assert s0[0] == s0[1] == s0[2]
     # fog-only cost scales exactly linearly with the ratio
-    s3 = [artifacts.mean_costs[(r, "s3")] for r in (0.01, 0.1, 1.0)]
+    s3 = [mean_costs[(r, "s3")] for r in (0.01, 0.1, 1.0)]
     assert s3[0] < s3[1] < s3[2]
     assert s3[1] == pytest.approx(10 * s3[0], rel=1e-9)
     assert s3[2] == pytest.approx(100 * s3[0], rel=1e-9)
@@ -498,11 +497,11 @@ def test_checkpoint_from_another_profile_is_rejected_alike(tmp_path, lookalike):
 def test_cmd_sweep_includes_policy_with_checkpoint(tmp_path):
     cfg = small_config(eval_experiments=2)
     cmd_train(cfg, tmp_path / "train")
-    artifacts = cmd_sweep(
+    mean_costs = cmd_sweep(
         cfg, tmp_path / "sweep", ratio_grid=(0.01,),
         checkpoint=tmp_path / "train" / "checkpoint.json",
     )
-    assert (0.01, "context-aware") in artifacts.mean_costs
+    assert (0.01, "context-aware") in mean_costs
 
 
 def test_a_write_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeypatch):
@@ -941,6 +940,58 @@ def test_cli_evaluate_rejects_a_format_1_checkpoint(tmp_path, cli_config, capsys
                  "--out-dir", str(eval_dir)]) == EXIT_VALIDATION
     assert "format version 1" in capsys.readouterr().err
     assert not eval_dir.exists()
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["calibrate", "--profile", "{tmp}/fd-a.json"], EXIT_CALIBRATION,
+     "check stages[a] are greyscale, motion, face"),
+    (["calibrate", "--profile", "{tmp}/fd-abc.json"], EXIT_CALIBRATION,
+     "check stages[a, b, c] are greyscale, motion, face"),
+    (["train", "--config", "{tmp}/a-dir"], EXIT_VALIDATION, "{tmp}/a-dir"),
+    (["evaluate", "--checkpoint", "{tmp}/a-dir"], EXIT_VALIDATION, "{tmp}/a-dir"),
+    (["train", "--out-dir", "{tmp}/a-file"], EXIT_VALIDATION, "{tmp}/a-file"),
+    (["train", "--out-dir", "{tmp}/a-file/out"], EXIT_VALIDATION, "{tmp}/a-file/out"),
+    (["train", "--config", "{tmp}/latin1.json"], EXIT_VALIDATION,
+     "config file {tmp}/latin1.json: not UTF-8"),
+    (["train", "--episodes", "0"], EXIT_VALIDATION, "--episodes 0: "),
+    (["train", "--lambda", "20"], EXIT_VALIDATION, "--lambda 20.0: "),
+    (["train", "--alpha", "1"], EXIT_VALIDATION, "--alpha 1.0: "),
+], ids=["fd-one-other-stage", "fd-three-other-stages", "config-is-a-dir", "checkpoint-is-a-dir",
+        "out-dir-is-a-file", "out-dir-under-a-file", "config-not-utf8", "episodes", "lambda",
+        "alpha"])
+def test_cli_names_the_input_it_cannot_use_without_a_traceback(tmp_path, cli_config, capsys,
+                                                               argv, code, needle):
+    """A bad path or flag value ends in one line that names it: an `error:`
+    line with exit 1, or a failed calibration check with exit 2.  Nothing
+    is written, not even an out dir under a file."""
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("kept\n")
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    for stages in ("a", "abc"):
+        (tmp_path / f"fd-{stages}.json").write_text(json.dumps({
+            "name": "fd", "modules": [{"name": s, "compute_s": 0.5} for s in stages],
+            "uplink_seconds_per_raw_unit": 1.0,
+        }))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[0] != "calibrate" and "--config" not in argv:
+        argv += ["--config", str(cli_config)]
+    if argv[0] != "calibrate" and "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    needle = needle.format(tmp=tmp_path)
+    if code == EXIT_VALIDATION:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
+    else:
+        lines = captured.out.splitlines()
+        assert lines[-1] == "calibration FAILED"
+        assert [line for line in lines if line.endswith(" FAIL")] == [
+            line for line in lines if line.startswith(needle)]
+    assert (tmp_path / "a-file").read_text() == "kept\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_calibrate_exit_codes(tmp_path, capsys):
