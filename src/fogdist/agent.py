@@ -10,8 +10,8 @@ the pass's targets computed before its first step, and the exploration
 rate decays one notch.  `AgentConfig` holds and checks every setting, so
 its errors name the keys (`epsilon_*`, `hidden_*`, ...); the agent's
 decay count is its only exploration state.
-A checkpoint stores the network's parameters next to the `n_actions` and
-`config` its architecture follows from, and nowhere else.
+A checkpoint is one `Checkpoint` record: the network's parameters next to
+the profile (one output per plan) and `config` its architecture follows from.
 """
 from __future__ import annotations
 
@@ -38,12 +38,11 @@ from .profiles import (
     ApplicationProfile,
     read_json_file,
     record_from_dict,
-    typed_value,
     write_text_atomically,
 )
 from .seeding import derive_seed
 
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 DEPLOYMENTS_PER_EPISODE = 20
 
 
@@ -382,32 +381,44 @@ class Provenance:
     weights: UtilityWeights
 
 
-def save_checkpoint(agent: DQNAgent, path: str | Path, profile_name: str,
-                    provenance: Provenance) -> None:
-    """Write the agent (config, decay count, network) to a versioned JSON file.
+@dataclass(frozen=True)
+class Checkpoint:
+    """A checkpoint file's content, key for key; `network` is `QNetwork.to_dict`."""
 
-    Raises ValueError, writing nothing, if any value is not finite.
-    """
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "kind": "fogdist-agent",
-        "profile_name": profile_name,
-        "n_actions": agent.n_actions,
-        "config": asdict(agent.config),
-        "decays_done": agent.decays_done,
-        "network": agent.network.to_dict(),
-        "provenance": asdict(provenance),
-    }
+    format_version: int
+    kind: str
+    profile: ApplicationProfile
+    config: AgentConfig
+    decays_done: int
+    network: dict
+    provenance: Provenance
+
+    def __post_init__(self):
+        if self.decays_done < 0:
+            raise ValueError(f"decays_done: must be >= 0, got {self.decays_done}")
+
+
+def save_checkpoint(agent: DQNAgent, path: str | Path, profile: ApplicationProfile,
+                    provenance: Provenance) -> None:
+    """Write the agent, trained on `profile`, to a versioned JSON file; a
+    ValueError, writing nothing, if its actions are not the profile's plans
+    or a value is not finite."""
+    if agent.n_actions != profile.n_modules + 1:
+        raise ValueError(f"{path}: agent has {agent.n_actions} actions but profile "
+                         f"{profile.name!r} has {profile.n_modules + 1} plans")
+    record = Checkpoint(CHECKPOINT_FORMAT_VERSION, "fogdist-agent", profile, agent.config,
+                        agent.decays_done, agent.network.to_dict(), provenance)
     try:
-        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        # `default=asdict` expands the nested records; the network's floats are not copied.
+        text = json.dumps(vars(record), default=asdict, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: cannot write a checkpoint with non-finite values ({exc})") from None
     write_text_atomically(Path(path), text)
 
 
-def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
-    """Restore an agent from a checkpoint; returns (agent, metadata), the
-    metadata holding its `profile_name` and its `Provenance`."""
+def load_checkpoint(path: str | Path) -> tuple[DQNAgent, Checkpoint]:
+    """Restore an agent from a checkpoint; returns (agent, record).  The
+    agent has one action per plan of the record's profile."""
     path = Path(path)
     data = read_json_file(path, "checkpoint")
     if not isinstance(data, dict) or data.get("kind") != "fogdist-agent":
@@ -418,25 +429,11 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, dict]:
             f"{path}: checkpoint format version {version!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT_VERSION}); retrain to write a current checkpoint"
         )
-    config = record_from_dict(AgentConfig, data.get("config"), f"{path}.config")
-    n_actions = _count(data, "n_actions", 1, path)
-    decays_done = _count(data, "decays_done", 0, path)
+    record = record_from_dict(Checkpoint, data, str(path))
+    n_actions = record.profile.n_modules + 1
     network = QNetwork.from_dict(
-        data.get("network"), network_architecture(n_actions, config), f"{path}.network"
+        record.network, network_architecture(n_actions, record.config), f"{path}.network"
     )
-    agent = DQNAgent(n_actions, config, network=network)
-    agent.decays_done = decays_done
-    meta = {
-        "profile_name": typed_value(str, data.get("profile_name"), f"{path}.profile_name"),
-        "provenance": record_from_dict(Provenance, data.get("provenance"), f"{path}.provenance"),
-    }
-    return agent, meta
-
-
-def _count(data: dict, key: str, minimum: int, path: Path) -> int:
-    """The checkpoint's integer `key`, at least `minimum`; absent reads as null."""
-    where = f"{path}.{key}"
-    count = typed_value(int, data.get(key), where)
-    if count < minimum:
-        raise ValueError(f"{where}: must be >= {minimum}, got {count}")
-    return count
+    agent = DQNAgent(n_actions, record.config, network=network)
+    agent.decays_done = record.decays_done
+    return agent, record

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .harness import (
     ExperimentConfig,
@@ -19,7 +20,7 @@ from .harness import (
     config_from_dict,
     load_config,
 )
-from .model import FOG_PRICE_RATIO_GRID, UtilityWeights
+from .model import FOG_PRICE_RATIO_GRID, PricingModel, UtilityWeights
 from .profiles import resolve_profile
 
 EXIT_OK = 0
@@ -120,9 +121,20 @@ def _weights(item: str) -> UtilityWeights:
     return UtilityWeights(qos_weight=float(qos_text), cost_weight=float(cost_text))
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, before any work, an --out-dir that is a file or lies under one."""
+    existing = Path(out_dir)
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ValueError(f"--out-dir {out_dir}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if hasattr(args, "out_dir"):
+            _check_out_dir(args.out_dir)
         if args.command == "train":
             curve = cmd_train(_config_from_args(args), args.out_dir)
             print(f"trained {len(curve)} episodes "
@@ -139,7 +151,8 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             cfg = _config_from_args(args)
-            ratios = _parse_grid("--ratios", [r for r in args.ratios.split(",") if r], float)
+            ratios = _parse_grid("--ratios", [r for r in args.ratios.split(",") if r],
+                                 lambda item: PricingModel(fog_price_ratio=float(item)).fog_price_ratio)
             weight_grid = None if args.weights is None else \
                 _parse_grid("--weights", args.weights, _weights)
             mean_costs = cmd_sweep(

@@ -162,12 +162,12 @@ class BoxplotStats:
 # -- file emission -----------------------------------------------------------
 
 def _emit(out_dir: str | Path, command: str, cfg: ExperimentConfig, tables: dict,
-          summary: dict, checkpoint: tuple[DQNAgent, str] | None = None) -> None:
+          summary: dict, checkpoint: tuple[DQNAgent, ApplicationProfile] | None = None) -> None:
     """Create ``out_dir`` and write a command's results there.
 
     Each table ``name -> (header, rows)`` becomes ``<name>.csv`` under a
     ``# config_hash=... master_seed=...`` line, ``checkpoint`` (an agent and
-    its profile's name) becomes ``checkpoint.json``, and ``run.json`` lists them.
+    its training profile) becomes ``checkpoint.json``, and ``run.json`` lists them.
     """
     cfg_hash = config_hash(cfg)
     out_dir = Path(out_dir)
@@ -182,9 +182,9 @@ def _emit(out_dir: str | Path, command: str, cfg: ExperimentConfig, tables: dict
         files[name] = out_dir / f"{name}.csv"
         write_text_atomically(files[name], text.getvalue())
     if checkpoint is not None:
-        agent, profile_name = checkpoint
+        agent, profile = checkpoint
         files["checkpoint"] = out_dir / "checkpoint.json"
-        save_checkpoint(agent, files["checkpoint"], profile_name=profile_name,
+        save_checkpoint(agent, files["checkpoint"], profile,
                         provenance=Provenance(config_hash=cfg_hash, master_seed=cfg.master_seed,
                                               weights=cfg.weights))
     payload = {
@@ -262,14 +262,13 @@ def mean_deployment_cost(results: list[EpisodeResult]) -> float:
 
 
 def _load_policy(checkpoint: str | Path, profile: ApplicationProfile) -> GreedyNetworkStrategy:
-    """The greedy policy of a checkpoint, which must have been trained on `profile`."""
-    agent, meta = load_checkpoint(checkpoint)
-    trained_on = meta["profile_name"]
-    if trained_on != profile.name or agent.n_actions != profile.n_modules + 1:
+    """The greedy policy of a checkpoint whose stored profile equals `profile`
+    field for field: JSON round-trips every float, so the test is exact."""
+    agent, saved = load_checkpoint(checkpoint)
+    if saved.profile != profile:
         raise ValueError(
-            f"checkpoint {checkpoint} was trained on profile {trained_on!r} with "
-            f"{agent.n_actions} plans, but the config's profile {profile.name!r} has "
-            f"{profile.n_modules + 1} plans"
+            f"checkpoint {checkpoint} was trained on profile {saved.profile.name!r}, "
+            f"which differs from the config's profile {profile.name!r}; retrain on that profile"
         )
     return agent.greedy_strategy()
 
@@ -314,7 +313,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> list[float]:
             "last_episode_utility": curve[-1],
             "epsilon_final": agent.epsilon,
         },
-        checkpoint=(agent, profile.name),
+        checkpoint=(agent, profile),
     )
     return curve
 

@@ -228,7 +228,7 @@ def profile_from_dict(data: dict, where: str = "profile") -> ApplicationProfile:
 
 # How an error names the JSON values each scalar annotation accepts.
 _JSON_NAMES = {
-    int: "an integer", float: "a number", str: "a string", type(None): "null",
+    int: "an integer", float: "a number", str: "a string", type(None): "null", dict: "an object",
 }
 
 
@@ -299,12 +299,14 @@ def record_from_dict(cls, data, where: str):
 
 
 def read_json_file(path: Path, what: str):
-    """The parsed content of a JSON file; a ValueError names a missing, non-UTF-8
-    or invalid file."""
+    """The parsed content of a JSON file; a ValueError names a missing,
+    unreadable (a directory, say), non-UTF-8 or invalid file."""
     if not path.exists():
         raise ValueError(f"{what} file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{what} file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path}: invalid JSON ({exc})") from None
     except UnicodeDecodeError as exc:

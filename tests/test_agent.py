@@ -352,27 +352,27 @@ def test_checkpoint_round_trip(tmp_path):
     train(fd_profile(), agent, episodes=2, pricing=PRICING, weights=HYBRID,
           master_seed=5)
     path = tmp_path / "ck.json"
-    save_checkpoint(agent, path, profile_name="fd", provenance=PROVENANCE)
-    restored, meta = load_checkpoint(path)
+    save_checkpoint(agent, path, fd_profile(), PROVENANCE)
+    restored, saved = load_checkpoint(path)
     x = np.full(19, 0.4)
     assert np.array_equal(agent.network.forward(x), restored.network.forward(x))
     assert restored.config == agent.config
     assert restored.decays_done == agent.decays_done > 17
     assert restored.epsilon == agent.epsilon
     assert restored.n_actions == agent.n_actions == 4
-    assert meta["profile_name"] == "fd"
-    assert meta["provenance"] == PROVENANCE
+    assert saved.profile == fd_profile()
+    assert saved.provenance == PROVENANCE
 
 
 def test_load_checkpoint_builds_no_throwaway_network(tmp_path, monkeypatch):
     path = tmp_path / "ck.json"
-    save_checkpoint(DQNAgent(n_actions=4, seed=3), path, profile_name="fd", provenance=PROVENANCE)
+    save_checkpoint(DQNAgent(n_actions=4, seed=3), path, fd_profile(), PROVENANCE)
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_checkpoint drew a fresh network")
 
     monkeypatch.setattr(QNetwork, "initialize", refuse)
-    restored, _meta = load_checkpoint(path)
+    restored, _saved = load_checkpoint(path)
     assert restored.network.to_dict() == json.loads(path.read_text())["network"]
 
 
@@ -383,15 +383,17 @@ def test_load_checkpoint_errors(tmp_path):
     bad.write_text('{"format_version": 99, "kind": "fogdist-agent"}')
     with pytest.raises(ValueError):
         load_checkpoint(bad)
-    bad.write_text('{"format_version": 5, "kind": "fogdist-agent", "n_actions": 4}')
-    with pytest.raises(ValueError, match=r"bad\.json\.config: expected an object, got null"):
+    bad.write_text('{"format_version": 6, "kind": "fogdist-agent"}')
+    with pytest.raises(ValueError, match=re.escape(
+            "bad.json: missing key(s) ['config', 'decays_done', 'network', 'profile', "
+            "'provenance']")):
         load_checkpoint(bad)
 
 
 def test_checkpoint_format_1_is_rejected_with_a_retrain_hint(tmp_path):
     agent = DQNAgent(n_actions=4, seed=2)
     path = tmp_path / "v1.json"
-    save_checkpoint(agent, path, profile_name="fd", provenance=PROVENANCE)
+    save_checkpoint(agent, path, fd_profile(), PROVENANCE)
     data = json.loads(path.read_text())
     assert "target_network" not in data and "weights" not in data["config"]
     data["format_version"] = 1
@@ -401,14 +403,17 @@ def test_checkpoint_format_1_is_rejected_with_a_retrain_hint(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
 def test_checkpoint_formats_2_to_4_are_rejected_with_a_retrain_hint(tmp_path, version):
     agent = DQNAgent(n_actions=4, seed=2)
     path = tmp_path / f"v{version}.json"
-    save_checkpoint(agent, path, profile_name="fd", provenance=PROVENANCE)
+    save_checkpoint(agent, path, fd_profile(), PROVENANCE)
     data = json.loads(path.read_text())
     assert "schedule" not in data and set(data["network"]) == {"weights", "biases"}
     data["format_version"] = version
+    if version == 5:      # the profile stored as its name and plan count
+        data["profile_name"] = data.pop("profile")["name"]
+        data["n_actions"] = 4
     if version < 4:
         data["network"]["architecture"] = {
             "input_dim": 19, "hidden_layers": 2, "hidden_width": 24, "output_dim": 4,
@@ -430,7 +435,14 @@ def test_save_checkpoint_refuses_non_finite_parameters(tmp_path):
     agent.network.weights[1][0, 0] = float("nan")
     path = tmp_path / "ck.json"
     with pytest.raises(ValueError, match="non-finite"):
-        save_checkpoint(agent, path, profile_name="fd", provenance=PROVENANCE)
+        save_checkpoint(agent, path, fd_profile(), PROVENANCE)
+    assert not path.exists()
+
+
+def test_save_checkpoint_refuses_an_agent_with_other_plans_than_the_profile(tmp_path):
+    path = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match="agent has 2 actions but profile 'fd' has 4 plans"):
+        save_checkpoint(DQNAgent(n_actions=2), path, fd_profile(), PROVENANCE)
     assert not path.exists()
 
 

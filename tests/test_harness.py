@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -17,14 +18,17 @@ from fogdist.agent import (
     AgentConfig,
     DQNAgent,
     GreedyNetworkStrategy,
+    Provenance,
     StaticStrategy,
+    load_checkpoint,
     network_architecture,
+    save_checkpoint,
     score_episode,
     simulate_episode,
     train,
 )
 from fogdist.cli import EXIT_CALIBRATION, EXIT_OK, EXIT_VALIDATION, main
-from fogdist.env import FogEnvironment
+from fogdist.env import STATE_FACTORS, FogEnvironment
 from fogdist.harness import (
     BoxplotStats,
     ExperimentConfig,
@@ -41,9 +45,9 @@ from fogdist.harness import (
     measure_decision_latency,
     static_strategies,
 )
-from fogdist.model import PricingModel, UtilityWeights
+from fogdist.model import PricingModel, ResourceUsage, UtilityWeights
 from fogdist.nn import QNetwork
-from fogdist.profiles import fd_profile
+from fogdist.profiles import fd_profile, heavy_profile, ipokemon_profile
 from fogdist.seeding import derive_seed
 from strategies import profile_to_dict
 
@@ -324,12 +328,14 @@ def test_cmd_train_outputs(tmp_path):
     assert (tmp_path / "checkpoint.json").exists()
 
 
-def test_train_checkpoint_is_format_5_with_the_weights_in_provenance(tmp_path):
+def test_train_checkpoint_is_format_6_with_the_weights_in_provenance(tmp_path):
     cfg = small_config(weights=UtilityWeights(qos_weight=0.0, cost_weight=-2.0))
     cmd_train(cfg, tmp_path)
     data = json.loads((tmp_path / "checkpoint.json").read_text())
-    assert data["format_version"] == 5
+    assert data["format_version"] == 6
     assert "target_network" not in data and "schedule" not in data
+    assert "profile_name" not in data and "n_actions" not in data
+    assert data["profile"] == json.loads(json.dumps(dataclasses.asdict(fd_profile())))
     assert data["config"] == dataclasses.asdict(cfg.agent)     # epsilon_* included
     assert type(data["decays_done"]) is int and data["decays_done"] > 0
     assert set(data["network"]) == {"weights", "biases"}
@@ -371,7 +377,7 @@ def test_training_is_pinned_to_the_bit(profile, episodes):
 
 # sha256 of checkpoint.json then run.json, byte for byte, after a 20-episode
 # default train on fd at seed 2026: the files' layout as well as their values.
-TRAIN_FILES_DIGEST = "8233a18845c21d728f1fb81cc9d1ed9e46ab1218b5bc8835a575f970d4f1679a"
+TRAIN_FILES_DIGEST = "5578bd0c8bbc9df4ea6ea14a95c17d40c66a7415a86ce5a4cd0834127805ce4c"
 
 
 def test_train_files_are_pinned_to_the_byte(tmp_path):
@@ -470,28 +476,91 @@ def test_sweep_cells_match_one_cell_evaluations(tmp_path):
     assert (tmp_path / "sweep_cells.csv").read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("lookalike", [False, True], ids=["other-count", "same-count"])
+@pytest.mark.parametrize("lookalike", [None, "fd-lookalike", "fd"],
+                         ids=["other-count", "same-count", "same-name"])
 def test_checkpoint_from_another_profile_is_rejected_alike(tmp_path, lookalike):
+    """ipokemon; fd under another name; and a profile named fd with stages
+    a, b, c: each is refused, for its name or for its stages."""
     cfg = small_config(eval_experiments=1)
     cmd_train(cfg, tmp_path / "train")
     ckpt = tmp_path / "train" / "checkpoint.json"
-    if lookalike:
-        path = tmp_path / "fd-lookalike.json"
-        path.write_text(json.dumps({**profile_to_dict(fd_profile()), "name": "fd-lookalike"}))
+    if lookalike is None:
+        other = dataclasses.replace(cfg, profile="ipokemon")
+    else:
+        path = tmp_path / "lookalike.json"
+        if lookalike == "fd":
+            profile = {"name": "fd", "uplink_seconds_per_raw_unit": 1.0,
+                       "modules": [{"name": s, "compute_s": 0.5} for s in "abc"]}
+        else:
+            profile = {**profile_to_dict(fd_profile()), "name": lookalike}
+        path.write_text(json.dumps(profile))
         other = dataclasses.replace(cfg, profile=str(path))
         assert other.resolved_profile().n_modules == fd_profile().n_modules
-    else:
-        other = dataclasses.replace(cfg, profile="ipokemon")
-    with pytest.raises(ValueError, match="trained on profile 'fd'") as from_evaluate:
+    with pytest.raises(ValueError, match=re.escape(
+            f"checkpoint {ckpt} was trained on profile 'fd', which differs from the "
+            f"config's profile {other.resolved_profile().name!r}")) as from_evaluate:
         cmd_evaluate(other, ckpt, tmp_path / "eval")
     with pytest.raises(ValueError) as from_sweep:
         cmd_sweep(other, tmp_path / "sweep", ratio_grid=(0.01,), checkpoint=ckpt)
     with pytest.raises(ValueError) as from_latency:
         cmd_latency(other, ckpt, tmp_path / "latency", n=10)
     assert str(from_sweep.value) == str(from_latency.value) == str(from_evaluate.value)
-    assert repr(other.resolved_profile().name) in str(from_evaluate.value)
     # Rejected before anything is written.
     assert not any((tmp_path / d).exists() for d in ("eval", "sweep", "latency"))
+
+
+@st.composite
+def one_field_changed(draw, profile):
+    """`profile` with one module or workload field set to another valid
+    value, its name kept."""
+    index = draw(st.integers(0, profile.n_modules - 1))
+    module = profile.modules[index]
+    key, value = draw(st.one_of(
+        st.tuples(st.just("compute_s"), st.floats(0, 1000)),
+        st.tuples(st.just("pass_fraction"), st.floats(0, 1, exclude_min=True)),
+        st.tuples(st.just("demand"), st.builds(
+            ResourceUsage, cpu_units=st.just(module.demand.cpu_units),
+            mem_gb=st.floats(0, 100), storage_gb=st.floats(0, 100))),
+        st.tuples(st.just("requests_per_deployment"), st.integers(1, 1000)),
+        st.tuples(st.sampled_from(["base_delay_fog_cloud_ms", "base_delay_dev_cloud_ms"]),
+                  st.floats(0, 1000)),
+    ))
+    if hasattr(module, key):
+        modules = list(profile.modules)
+        modules[index] = dataclasses.replace(module, **{key: value})
+        changed = dataclasses.replace(profile, modules=tuple(modules))
+    else:
+        changed = dataclasses.replace(profile, **{key: value})
+    assume(changed != profile)
+    return changed
+
+
+@settings(max_examples=40, deadline=None)
+@given(builtin=st.sampled_from([fd_profile, ipokemon_profile, heavy_profile]),
+       decays_done=st.integers(0, 10**6),
+       state=st.lists(st.floats(0, 1), min_size=len(STATE_FACTORS), max_size=len(STATE_FACTORS)),
+       data=st.data())
+def test_a_checkpoint_holds_its_profile_and_refuses_any_other(builtin, decays_done, state, data):
+    """A save->load round trip gives back the profile, the forward bits and
+    the decay count; a profile that differs in one field, name kept, is refused."""
+    profile = builtin()
+    agent = DQNAgent(profile.n_modules + 1, seed=decays_done)
+    agent.decays_done = decays_done
+    state = np.array(state)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        save_checkpoint(agent, path, profile,
+                        Provenance(config_hash="0123456789ab", master_seed=5,
+                                   weights=UtilityWeights()))
+        restored, saved = load_checkpoint(path)
+        assert saved.profile == profile and restored.decays_done == decays_done
+        assert restored.network.forward(state).tobytes() == \
+            agent.network.forward(state).tobytes()
+        harness._load_policy(path, profile)
+        with pytest.raises(ValueError, match=re.escape(
+                f"trained on profile {profile.name!r}, which differs from the config's "
+                f"profile {profile.name!r}")):
+            harness._load_policy(path, data.draw(one_field_changed(profile)))
 
 
 def test_cmd_sweep_includes_policy_with_checkpoint(tmp_path):
@@ -522,7 +591,7 @@ def test_a_write_that_fails_midway_leaves_the_target_as_it_was(tmp_path, monkeyp
         "rows.csv": lambda: harness._emit(tmp_path, "train", cfg, {"rows": (["a"], [[1]])}, {}),
         "run.json": lambda: harness._emit(tmp_path, "train", cfg, {}, {}),
         "checkpoint.json": lambda: harness._emit(
-            tmp_path, "train", cfg, {}, {}, checkpoint=(build_agent(cfg, fd_profile()), "fd")),
+            tmp_path, "train", cfg, {}, {}, checkpoint=(build_agent(cfg, fd_profile()), fd_profile())),
     }
     for name in writes:
         (tmp_path / name).write_text("old", encoding="utf-8")
@@ -630,7 +699,8 @@ def test_cli_sweep_refuses_an_out_of_range_ratio_before_writing(tmp_path, cli_co
     code = main(["sweep", "--config", str(cli_config), "--out-dir", str(out_dir),
                  "--ratios", "20"])
     assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: pricing.fog_price_ratio: must lie in (0, 10], got 20.0\n"
+    assert capsys.readouterr().err == \
+        "error: --ratios '20': pricing.fog_price_ratio: must lie in (0, 10], got 20.0\n"
     assert not out_dir.exists()
 
 
@@ -842,17 +912,22 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
     ("decays_done", None, "7", ".decays_done: expected an integer, got \"7\""),
     ("decays_done", None, 7.0, ".decays_done: expected an integer, got 7.0"),
     ("decays_done", None, True, ".decays_done: expected an integer, got true"),
-    ("decays_done", None, -1, ".decays_done: must be >= 0, got -1"),
-    ("n_actions", None, 4.0, ".n_actions: expected an integer, got 4.0"),
-    ("n_actions", None, True, ".n_actions: expected an integer, got true"),
-    ("n_actions", None, 0, ".n_actions: must be >= 1, got 0"),
-    # Weights that do not fit the architecture the n_actions and config ask for.
+    ("decays_done", None, -1, ": decays_done: must be >= 0, got -1"),
+    ("profile", "name", 7, ".profile.name: expected a string, got 7"),
+    ("profile", "modules.0.compute_s", "0.5",
+     ".profile.modules[0].compute_s: expected a number, got \"0.5\""),
+    ("profile", "requests_per_deployment", 0,
+     ".profile: profile fd: requests_per_deployment must be >= 1"),
+    ("profile", None, "fd", ".profile: expected an object, got \"fd\""),
+    ("profile", "modules", [], ".profile: profile fd: needs at least one module"),
+    ("n_actions", None, 4, ": unknown key(s) ['n_actions']"),
+    # Weights that do not fit the architecture the profile and config ask for.
     ("config", "hidden_width", 16, ".network: malformed parameters (layer 0: expected weight "
      "and bias shapes ((16, 19), (16,)), got ((24, 19), (24,)))"),
     ("network", "weights.0", [[0.0] * 20] * 24, ".network: malformed parameters (layer 0: "
      "expected weight and bias shapes ((24, 19), (24,)), got ((24, 20), (24,)))"),
-    ("n_actions", None, 3, ".network: malformed parameters (layer 2: expected weight "
-     "and bias shapes ((3, 24), (3,)), got ((4, 24), (4,)))"),
+    ("profile", "modules", [{"name": "solo"}], ".network: malformed parameters (layer 2: "
+     "expected weight and bias shapes ((2, 24), (2,)), got ((4, 24), (4,)))"),
     ("config", "hidden_layers", 3, ".network: malformed parameters (expected 4 weight "
      "matrices and bias vectors, got 3 and 3)"),
     ("network", "weights.0.0.0", float("nan"), ".network: weights and biases must be finite"),
@@ -866,15 +941,15 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
     ("network", "architecture", {}, ".network: unknown key(s) ['architecture']"),
     ("provenance", None, 5, ".provenance: expected an object, got 5"),
     ("provenance", "master_seed", "3", ".provenance.master_seed: expected an integer, got \"3\""),
-    ("profile_name", None, 7, ".profile_name: expected a string, got 7"),
 ], ids=["network", "learning_rate", "hidden_width", "epsilon_floor", "hidden_width-zero",
         "decays_done",
-        "decays_done-float", "decays_done-bool", "decays_done-negative", "n_actions-float",
-        "n_actions-bool", "n_actions-zero", "network-hidden_width", "input_dim", "output_dim",
+        "decays_done-float", "decays_done-bool", "decays_done-negative", "profile.name",
+        "profile.modules.compute_s", "profile.requests_per_deployment", "profile",
+        "profile.modules-empty",
+        "n_actions-stray", "network-hidden_width", "input_dim", "output_dim",
         "hidden_layers-misfit",
         "nan-weight", "inf-bias", "weight-shape", "int-overflow-weight", "bool-weight", "string-bias", "flat-weight-row",
-        "network-format_version", "network-architecture", "provenance", "provenance-master_seed",
-        "profile_name"])
+        "network-format_version", "network-architecture", "provenance", "provenance-master_seed"])
 def test_cli_evaluate_rejects_a_mistyped_checkpoint(tmp_path, cli_config, capsys,
                                                     section, key, value, message):
     train_dir = tmp_path / "train"
@@ -947,10 +1022,14 @@ def test_cli_evaluate_rejects_a_format_1_checkpoint(tmp_path, cli_config, capsys
      "check stages[a] are greyscale, motion, face"),
     (["calibrate", "--profile", "{tmp}/fd-abc.json"], EXIT_CALIBRATION,
      "check stages[a, b, c] are greyscale, motion, face"),
-    (["train", "--config", "{tmp}/a-dir"], EXIT_VALIDATION, "{tmp}/a-dir"),
-    (["evaluate", "--checkpoint", "{tmp}/a-dir"], EXIT_VALIDATION, "{tmp}/a-dir"),
-    (["train", "--out-dir", "{tmp}/a-file"], EXIT_VALIDATION, "{tmp}/a-file"),
-    (["train", "--out-dir", "{tmp}/a-file/out"], EXIT_VALIDATION, "{tmp}/a-file/out"),
+    (["train", "--config", "{tmp}/a-dir"], EXIT_VALIDATION,
+     "error: config file {tmp}/a-dir: Is a directory"),
+    (["evaluate", "--checkpoint", "{tmp}/a-dir"], EXIT_VALIDATION,
+     "error: checkpoint file {tmp}/a-dir: Is a directory"),
+    (["train", "--out-dir", "{tmp}/a-file"], EXIT_VALIDATION,
+     "error: --out-dir {tmp}/a-file: {tmp}/a-file is not a directory"),
+    (["train", "--out-dir", "{tmp}/a-file/out"], EXIT_VALIDATION,
+     "error: --out-dir {tmp}/a-file/out: {tmp}/a-file is not a directory"),
     (["train", "--config", "{tmp}/latin1.json"], EXIT_VALIDATION,
      "config file {tmp}/latin1.json: not UTF-8"),
     (["train", "--episodes", "0"], EXIT_VALIDATION, "--episodes 0: "),
@@ -960,10 +1039,14 @@ def test_cli_evaluate_rejects_a_format_1_checkpoint(tmp_path, cli_config, capsys
         "out-dir-is-a-file", "out-dir-under-a-file", "config-not-utf8", "episodes", "lambda",
         "alpha"])
 def test_cli_names_the_input_it_cannot_use_without_a_traceback(tmp_path, cli_config, capsys,
-                                                               argv, code, needle):
+                                                               monkeypatch, argv, code, needle):
     """A bad path or flag value ends in one line that names it: an `error:`
     line with exit 1, or a failed calibration check with exit 2.  Nothing
-    is written, not even an out dir under a file."""
+    is written, not even an out dir under a file, and nothing is trained."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before refusing the input")
+
+    monkeypatch.setattr(harness, "train", refuse)
     (tmp_path / "a-dir").mkdir()
     (tmp_path / "a-file").write_text("kept\n")
     (tmp_path / "latin1.json").write_bytes(b"\xff{}")
