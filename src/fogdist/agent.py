@@ -21,6 +21,7 @@ import random
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,9 +223,8 @@ class DQNAgent:
         return GreedyNetworkStrategy(self.network)
 
 
-@dataclass(frozen=True)
-class DeploymentRecord:
-    outcome: object
+class DeploymentRecord(NamedTuple):
+    outcome: DeploymentOutcome
     cost: float
     utility: float
 
@@ -235,6 +235,13 @@ class EpisodeResult:
     records: tuple[DeploymentRecord, ...]
 
 
+def price_deployment(outcome: DeploymentOutcome, n_modules: int, pricing: PricingModel) -> float:
+    """What one deployment costs under `pricing`; the utility weights play no part."""
+    return deployment_cost(
+        outcome.fog_modules, n_modules, pricing, outcome.usage, outcome.duration_s / 3600.0
+    )
+
+
 def score_deployment(
     outcome: DeploymentOutcome,
     n_modules: int,
@@ -242,12 +249,8 @@ def score_deployment(
     weights: UtilityWeights,
 ) -> DeploymentRecord:
     """Price one deployment and weigh its utility under one (pricing, weights) cell."""
-    cost = deployment_cost(
-        outcome.fog_modules, n_modules, pricing, outcome.usage, outcome.duration_s / 3600.0
-    )
-    return DeploymentRecord(
-        outcome=outcome, cost=cost, utility=deployment_utility(weights, outcome, cost)
-    )
+    cost = price_deployment(outcome, n_modules, pricing)
+    return DeploymentRecord(outcome, cost, deployment_utility(weights, outcome, cost))
 
 
 def _episode_result(records) -> EpisodeResult:
@@ -257,14 +260,12 @@ def _episode_result(records) -> EpisodeResult:
     )
 
 
-def score_episode(
-    outcomes,
-    n_modules: int,
-    pricing: PricingModel,
-    weights: UtilityWeights,
-) -> EpisodeResult:
-    """Score an already simulated episode under one (pricing, weights) cell."""
-    return _episode_result(score_deployment(o, n_modules, pricing, weights) for o in outcomes)
+def score_episode(outcomes, costs, weights: UtilityWeights) -> EpisodeResult:
+    """Weigh an already simulated episode whose deployments cost ``costs``
+    (`price_deployment` of each, in order) under one set of weights."""
+    return _episode_result(
+        DeploymentRecord(o, c, deployment_utility(weights, o, c)) for o, c in zip(outcomes, costs)
+    )
 
 
 def simulate_episode(

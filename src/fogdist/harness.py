@@ -10,7 +10,9 @@ bit-identical stress trajectories.  It simulates each strategy x experiment
 once and then scores those outcomes under every (pricing, weights) cell
 asked for: `evaluate` asks for one cell, `sweep` for its whole grid.  That
 is sound because a strategy that does not learn never sees prices or
-weights, so only non-learning strategies are accepted.  Each command
+weights, so only non-learning strategies are accepted.  Costs are computed
+once per distinct pricing, and each command's utility summaries come from
+one `BoxplotStats.from_rows` call.  Each command
 computes all of its results, makes one `_emit` call, which alone creates
 the output directory, and returns the one result it computed: `cmd_train`
 the learning curve, `cmd_evaluate` the utility summary by approach,
@@ -28,7 +30,7 @@ import io
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,7 @@ from .agent import (
     Provenance,
     StaticStrategy,
     load_checkpoint,
+    price_deployment,
     save_checkpoint,
     score_episode,
     simulate_episode,
@@ -134,22 +137,25 @@ class BoxplotStats:
             raise ValueError("count must be >= 1")
 
     @classmethod
-    def from_samples(cls, samples) -> "BoxplotStats":
-        arr = np.asarray(list(samples), dtype=np.float64)
-        if arr.size == 0:
-            raise ValueError("need at least one sample")
-        q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-        minimum, maximum = float(arr.min()), float(arr.max())
+    def from_rows(cls, rows) -> list["BoxplotStats"]:
+        """One summary per row of equal-length sample rows, all from one
+        percentile call: each equals the summary of its row alone, bit for bit."""
+        arr = np.asarray(rows, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] == 0:
+            raise ValueError("need equal-length rows of at least one sample")
+        quartiles = np.percentile(arr, [25.0, 50.0, 75.0], axis=1).T.tolist()
+        per_row = zip(arr.min(axis=1).tolist(), quartiles, arr.mean(axis=1).tolist(),
+                      arr.max(axis=1).tolist())
         # The exact mean lies in [min, max]; the rounded one can miss by an ulp.
-        return cls(
-            minimum=minimum,
-            q1=float(q1),
-            median=float(median),
-            mean=min(max(float(arr.mean()), minimum), maximum),
-            q3=float(q3),
-            maximum=maximum,
-            count=int(arr.size),
-        )
+        return [
+            cls(minimum=minimum, q1=q1, median=median, mean=min(max(mean, minimum), maximum),
+                q3=q3, maximum=maximum, count=arr.shape[1])
+            for minimum, (q1, median, q3), mean, maximum in per_row
+        ]
+
+    @classmethod
+    def from_samples(cls, samples) -> "BoxplotStats":
+        return cls.from_rows([samples])[0]
 
     def as_row(self) -> list:
         return [self.minimum, self.q1, self.median, self.mean, self.q3, self.maximum]
@@ -225,8 +231,10 @@ def evaluate_strategies(
     Environment seeds depend only on the experiment index and action seeds
     only on the strategy and index, never on the cell, so each strategy x
     experiment is simulated once and its outcomes are scored under every
-    cell.  A learning strategy picks actions from its rewards, so its
-    outcomes would depend on the cell: it is rejected.
+    cell.  Costs do not depend on the weights, so each trajectory is priced
+    once per distinct pricing and weighed per cell from those costs.  A
+    learning strategy picks actions from its rewards, so its outcomes would
+    depend on the cell: it is rejected.
     """
     cells = list(cells)
     if not cells:
@@ -244,10 +252,16 @@ def evaluate_strategies(
             env = FogEnvironment(profile, seed=derive_seed(master_seed, "eval-experiment", index))
             rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
             trajectories.append(simulate_episode(env, strategy, rng, deployments=deployments))
+        costs_at: dict[PricingModel, list[list[float]]] = {}
         for per_cell, (pricing, weights) in zip(results, cells):
+            if pricing not in costs_at:
+                costs_at[pricing] = [
+                    [price_deployment(o, profile.n_modules, pricing) for o in outcomes]
+                    for outcomes in trajectories
+                ]
             per_cell[name] = [
-                score_episode(outcomes, profile.n_modules, pricing, weights)
-                for outcomes in trajectories
+                score_episode(outcomes, costs, weights)
+                for outcomes, costs in zip(trajectories, costs_at[pricing])
             ]
     return results
 
@@ -261,14 +275,33 @@ def mean_deployment_cost(results: list[EpisodeResult]) -> float:
     return float(np.mean(costs))
 
 
+def _first_difference(a, b, where: str) -> str | None:
+    """``path: a != b`` for the first field, in declaration order, where
+    records `a` and `b` differ below ``where``; None if they are equal."""
+    if is_dataclass(a) and type(a) is type(b):
+        pairs = [(f"{where}.{f.name}", getattr(a, f.name), getattr(b, f.name)) for f in fields(a)]
+    elif isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):
+        pairs = [(f"{where}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    elif isinstance(a, tuple) and isinstance(b, tuple):
+        return f"{where}: {len(a)} items != {len(b)} items"
+    else:
+        return None if a == b else f"{where}: {a!r} != {b!r}"
+    for path, x, y in pairs:
+        found = _first_difference(x, y, path)
+        if found is not None:
+            return found
+    return None
+
+
 def _load_policy(checkpoint: str | Path, profile: ApplicationProfile) -> GreedyNetworkStrategy:
     """The greedy policy of a checkpoint whose stored profile equals `profile`
     field for field: JSON round-trips every float, so the test is exact."""
     agent, saved = load_checkpoint(checkpoint)
     if saved.profile != profile:
         raise ValueError(
-            f"checkpoint {checkpoint} was trained on profile {saved.profile.name!r}, "
-            f"which differs from the config's profile {profile.name!r}; retrain on that profile"
+            f"checkpoint {checkpoint} was trained on another profile than the config's, "
+            f"first differing at {_first_difference(saved.profile, profile, 'profile')} "
+            f"(checkpoint != config); retrain on the config's profile"
         )
     return agent.greedy_strategy()
 
@@ -324,7 +357,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path,
     returns the utility summary by approach."""
     [results] = _evaluate_against_static(cfg, checkpoint, [(cfg.pricing, cfg.weights)])
     utilities = {name: [ep.utility for ep in episodes] for name, episodes in results.items()}
-    boxplots = {name: BoxplotStats.from_samples(u) for name, u in utilities.items()}
+    boxplots = dict(zip(utilities, BoxplotStats.from_rows(list(utilities.values()))))
     tables = {
         f"utilities_{name}": (["experiment", "utility"], list(enumerate(u)))
         for name, u in utilities.items()
@@ -365,14 +398,14 @@ def cmd_sweep(
         for ratio in ratios for weights in weight_grid
     ]
     per_cell = _evaluate_against_static(cfg, checkpoint, cells)
-    cell_rows = []
-    for (pricing, weights), results in zip(cells, per_cell):
-        for name, episodes in results.items():
-            stats = BoxplotStats.from_samples([ep.utility for ep in episodes])
-            cell_rows.append([
-                pricing.fog_price_ratio, weights.qos_weight, weights.cost_weight, name,
-                stats.count, *stats.as_row(),
-            ])
+    labels = [
+        (pricing.fog_price_ratio, weights.qos_weight, weights.cost_weight, name)
+        for (pricing, weights), results in zip(cells, per_cell) for name in results
+    ]
+    summaries = BoxplotStats.from_rows([
+        [ep.utility for ep in episodes] for results in per_cell for episodes in results.values()
+    ])
+    cell_rows = [[*label, stats.count, *stats.as_row()] for label, stats in zip(labels, summaries)]
     # Deployment cost does not depend on the weights, so the first cell at
     # each ratio gives that ratio's costs.
     mean_costs = {

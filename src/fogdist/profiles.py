@@ -248,6 +248,8 @@ def typed_value(kind, value, where: str):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where}: expected a list, got {_shown(value)}")
         item_kind = typing.get_args(kind)[0]
+        if item_kind is float and all(type(item) in (int, float) for item in value):
+            return tuple(value)       # a network's floats: skip the per-item call
         return tuple(typed_value(item_kind, item, f"{where}[{i}]") for i, item in enumerate(value))
     accepted = typing.get_args(kind) or (kind,)   # int | None -> (int, NoneType)
     if any(_json_matches(value, scalar) for scalar in accepted):

@@ -21,6 +21,7 @@ from fogdist.agent import (
     Transition,
     load_checkpoint,
     network_architecture,
+    price_deployment,
     run_episode,
     save_checkpoint,
     score_episode,
@@ -257,7 +258,8 @@ def test_replay_is_deterministic_for_a_seed():
 def scored_episode(env, strategy, pricing, weights, rng, deployments=20):
     """A strategy that does not learn, simulated and then scored under one cell."""
     outcomes = simulate_episode(env, strategy, rng, deployments)
-    return score_episode(outcomes, env.profile.n_modules, pricing, weights)
+    costs = [price_deployment(o, env.profile.n_modules, pricing) for o in outcomes]
+    return score_episode(outcomes, costs, weights)
 
 
 def test_scored_static_episode_shape_and_utility_sum():

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import re
 import tempfile
@@ -23,7 +24,7 @@ from fogdist.agent import (
     load_checkpoint,
     network_architecture,
     save_checkpoint,
-    score_episode,
+    score_deployment,
     simulate_episode,
     train,
 )
@@ -225,9 +226,42 @@ def test_boxplot_stats_summarise_any_finite_samples(samples):
     assert stats.count == len(samples)
 
 
+def _summary_of_one_row(row) -> list[float]:
+    """The oracle for `from_rows`: one row summarised alone, as `as_row` orders it."""
+    arr = np.asarray(row, dtype=np.float64)
+    q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+    minimum, maximum = float(arr.min()), float(arr.max())
+    mean = min(max(float(arr.mean()), minimum), maximum)
+    return [minimum, float(q1), float(median), mean, float(q3), maximum]
+
+
+def _matrices(width):
+    row = st.lists(_FINITE, min_size=width, max_size=width) \
+        | st.builds(lambda x: [x] * width, _FINITE) \
+        | st.lists(st.sampled_from([-1.5, 0.0, 2.0]), min_size=width, max_size=width)
+    return st.lists(row, min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@example(matrix=[[-0.0006081010000000004] * 6])
+@given(matrix=st.integers(1, 300).flatmap(_matrices))
+def test_boxplot_rows_equal_each_row_summarised_alone(matrix):
+    """Bit for bit, repeated values and rows longer than numpy's pairwise-sum
+    block of 128 included."""
+    summaries = BoxplotStats.from_rows(matrix)
+    assert len(summaries) == len(matrix)
+    for row, stats in zip(matrix, summaries):
+        assert stats.count == len(row)
+        assert np.array(stats.as_row()).tobytes() == np.array(_summary_of_one_row(row)).tobytes()
+
+
 def test_boxplot_validation():
     with pytest.raises(ValueError):
         BoxplotStats.from_samples([])
+    with pytest.raises(ValueError):
+        BoxplotStats.from_rows([[1.0, 2.0], [3.0]])
+    with pytest.raises(ValueError, match="equal-length rows"):
+        BoxplotStats.from_rows([])
     with pytest.raises(ValueError):
         BoxplotStats(minimum=0, q1=2, median=1, mean=1, q3=3, maximum=4, count=4)
     with pytest.raises(ValueError):
@@ -265,14 +299,18 @@ def _non_learning_strategies(profile):
 def test_outcomes_do_not_depend_on_the_cell_and_shared_scoring_is_exact(
     ratio, qos_weight, cost_weight, master_seed,
 ):
+    """The last two cells share one pricing, so their costs are computed once
+    and weighed twice; every record still equals its own `score_deployment`."""
     assume(qos_weight != 0 or cost_weight != 0)
     profile = fd_profile()
-    cell = (PricingModel(fog_price_ratio=ratio), UtilityWeights(qos_weight, cost_weight))
-    default_cell = (PricingModel(), UtilityWeights())
+    pricing = PricingModel(fog_price_ratio=ratio)
+    cells = [(PricingModel(), UtilityWeights()),
+             (pricing, UtilityWeights(qos_weight, cost_weight)),
+             (pricing, UtilityWeights(qos_weight - 1.0, cost_weight))]
     strategies = _non_learning_strategies(profile)
     experiments, deployments = 2, 6
     shared = evaluate_strategies(
-        profile, strategies, [default_cell, cell], experiments=experiments,
+        profile, strategies, cells, experiments=experiments,
         master_seed=master_seed, deployments=deployments,
     )
 
@@ -280,18 +318,16 @@ def test_outcomes_do_not_depend_on_the_cell_and_shared_scoring_is_exact(
         env = FogEnvironment(profile, seed=derive_seed(master_seed, "eval-experiment", index))
         rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
         outcomes = simulate_episode(env, strategies[name], rng, deployments=deployments)
-        return score_episode(outcomes, profile.n_modules, pricing, weights)
+        return [score_deployment(o, profile.n_modules, pricing, weights) for o in outcomes]
 
     for name in strategies:
         for index in range(experiments):
-            alone = separate_run(name, index, *cell)
-            at_default = separate_run(name, index, *default_cell)
-            scored = shared[1][name][index]
-            assert [r.outcome for r in alone.records] == [r.outcome for r in at_default.records]
-            assert [r.outcome for r in scored.records] == [r.outcome for r in alone.records]
-            assert [(r.cost, r.utility) for r in scored.records] == \
-                [(r.cost, r.utility) for r in alone.records]
-            assert scored.utility == alone.utility
+            separate = [separate_run(name, index, *cell) for cell in cells]
+            for alone, per_cell in zip(separate, shared):
+                assert [r.outcome for r in alone] == [r.outcome for r in separate[0]]
+                scored = per_cell[name][index]
+                assert list(scored.records) == alone
+                assert scored.utility == math.fsum(r.utility for r in alone)
 
 
 def test_evaluate_strategies_rejects_learners_and_an_empty_grid():
@@ -476,11 +512,14 @@ def test_sweep_cells_match_one_cell_evaluations(tmp_path):
     assert (tmp_path / "sweep_cells.csv").read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("lookalike", [None, "fd-lookalike", "fd"],
-                         ids=["other-count", "same-count", "same-name"])
-def test_checkpoint_from_another_profile_is_rejected_alike(tmp_path, lookalike):
+@pytest.mark.parametrize("lookalike, difference", [
+    (None, "profile.name: 'fd' != 'ipokemon'"),
+    ("fd-lookalike", "profile.name: 'fd' != 'fd-lookalike'"),
+    ("fd", "profile.modules[0].name: 'greyscale' != 'a'"),
+], ids=["other-count", "same-count", "same-name"])
+def test_checkpoint_from_another_profile_is_rejected_alike(tmp_path, lookalike, difference):
     """ipokemon; fd under another name; and a profile named fd with stages
-    a, b, c: each is refused, for its name or for its stages."""
+    a, b, c: each is refused, and the error names the first field that differs."""
     cfg = small_config(eval_experiments=1)
     cmd_train(cfg, tmp_path / "train")
     ckpt = tmp_path / "train" / "checkpoint.json"
@@ -497,8 +536,8 @@ def test_checkpoint_from_another_profile_is_rejected_alike(tmp_path, lookalike):
         other = dataclasses.replace(cfg, profile=str(path))
         assert other.resolved_profile().n_modules == fd_profile().n_modules
     with pytest.raises(ValueError, match=re.escape(
-            f"checkpoint {ckpt} was trained on profile 'fd', which differs from the "
-            f"config's profile {other.resolved_profile().name!r}")) as from_evaluate:
+            f"checkpoint {ckpt} was trained on another profile than the config's, "
+            f"first differing at {difference} (checkpoint != config)")) as from_evaluate:
         cmd_evaluate(other, ckpt, tmp_path / "eval")
     with pytest.raises(ValueError) as from_sweep:
         cmd_sweep(other, tmp_path / "sweep", ratio_grid=(0.01,), checkpoint=ckpt)
@@ -512,7 +551,7 @@ def test_checkpoint_from_another_profile_is_rejected_alike(tmp_path, lookalike):
 @st.composite
 def one_field_changed(draw, profile):
     """`profile` with one module or workload field set to another valid
-    value, its name kept."""
+    value, its name kept; returns it with the path of the changed field."""
     index = draw(st.integers(0, profile.n_modules - 1))
     module = profile.modules[index]
     key, value = draw(st.one_of(
@@ -528,11 +567,12 @@ def one_field_changed(draw, profile):
     if hasattr(module, key):
         modules = list(profile.modules)
         modules[index] = dataclasses.replace(module, **{key: value})
-        changed = dataclasses.replace(profile, modules=tuple(modules))
+        changed, path = dataclasses.replace(profile, modules=tuple(modules)), \
+            f"profile.modules[{index}].{key}"
     else:
-        changed = dataclasses.replace(profile, **{key: value})
+        changed, path = dataclasses.replace(profile, **{key: value}), f"profile.{key}"
     assume(changed != profile)
-    return changed
+    return changed, path
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,7 +582,8 @@ def one_field_changed(draw, profile):
        data=st.data())
 def test_a_checkpoint_holds_its_profile_and_refuses_any_other(builtin, decays_done, state, data):
     """A save->load round trip gives back the profile, the forward bits and
-    the decay count; a profile that differs in one field, name kept, is refused."""
+    the decay count; a profile that differs in one field, name kept, is
+    refused by an error that names that field."""
     profile = builtin()
     agent = DQNAgent(profile.n_modules + 1, seed=decays_done)
     agent.decays_done = decays_done
@@ -557,10 +598,9 @@ def test_a_checkpoint_holds_its_profile_and_refuses_any_other(builtin, decays_do
         assert restored.network.forward(state).tobytes() == \
             agent.network.forward(state).tobytes()
         harness._load_policy(path, profile)
-        with pytest.raises(ValueError, match=re.escape(
-                f"trained on profile {profile.name!r}, which differs from the config's "
-                f"profile {profile.name!r}")):
-            harness._load_policy(path, data.draw(one_field_changed(profile)))
+        changed, changed_path = data.draw(one_field_changed(profile))
+        with pytest.raises(ValueError, match=re.escape(f"first differing at {changed_path}")):
+            harness._load_policy(path, changed)
 
 
 def test_cmd_sweep_includes_policy_with_checkpoint(tmp_path):
