@@ -31,7 +31,8 @@ from .profiles import ApplicationProfile
 from .seeding import derive_seed
 
 # Fog node hardware model.
-CAPACITY_UNITS = int(MAX_CPU_UNITS)   # stress/allocation units; an int for randrange
+CAPACITY_UNITS = int(MAX_CPU_UNITS)   # stress/allocation units; loads are ints below it
+_LOAD_BITS = CAPACITY_UNITS.bit_length()  # random bits per stress draw, as randrange takes
 UNIT_MEM_GB = 0.25              # memory occupied per stressed unit
 STRESS_RESAMPLE_S = 10.0        # stress level re-rolls on this period
 MEM_TOTAL_GB = 2.0
@@ -105,7 +106,17 @@ class StressProcess:
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
         self.interval = 0
-        self.load = self._rng.randrange(CAPACITY_UNITS)  # interval 0
+        self.load = self._draw()  # interval 0
+
+    def _draw(self) -> int:
+        """One uniform{0..7} draw, the one CPython's
+        ``randrange(CAPACITY_UNITS)`` makes: its rejection loop, without the
+        argument checks and calls around it."""
+        getrandbits = self._rng.getrandbits
+        load = getrandbits(_LOAD_BITS)
+        while load >= CAPACITY_UNITS:
+            load = getrandbits(_LOAD_BITS)
+        return load
 
     def advance(self, now: float) -> None:
         """Move to simulated time ``now``, rolling one draw per boundary crossed."""
@@ -118,7 +129,7 @@ class StressProcess:
                 f"in interval {interval} after interval {self.interval}"
             )
         for _ in range(interval - self.interval):
-            self.load = self._rng.randrange(CAPACITY_UNITS)
+            self.load = self._draw()
         self.interval = interval
 
 
@@ -297,7 +308,12 @@ class FogEnvironment:
         """Deploy a plan, stream all requests through it, advance the clock.
 
         Returns the deployment's duration, request count, and the busy-time
-        weighted average of the fog-hosted stages' resource demands.
+        weighted average of the fog-hosted stages' resource demands.  Each
+        request makes one `request_latency_breakdown` call and its own adds
+        to the uplink count and the clock; the fog busy times are summed
+        after the loop, run by run of requests that got the same breakdown,
+        one request's seconds at a time in request order, so every float is
+        the one a per-request add gives.
         """
         profile = self.profile
         k = fog_modules
@@ -309,19 +325,21 @@ class FogEnvironment:
 
         stress = self.stress
         started = now = clock.now
-        # Fog busy time by module position, as the breakdown's fog seconds are.
-        busy = [0.0] * k
+        free = CAPACITY_UNITS - stress.load
+        # (fog seconds, first request) each time the breakdown changes.
+        runs: list[tuple[tuple[float, ...], int]] = []
         uplink_units = 0.0
         per_unit = profile.uplink_seconds_per_raw_unit
         last = None
-        for _ in range(requests):
+        for request in range(requests):
             # The load changes only at interval boundaries; the same division
             # as `StressProcess.advance`, since a precomputed boundary time can
             # round to the other side of it.
             if int(now / STRESS_RESAMPLE_S) != stress.interval:
                 stress.advance(now)
+                free = CAPACITY_UNITS - stress.load
             parts = request_latency_breakdown(
-                profile, k, available_units=CAPACITY_UNITS - stress.load,
+                profile, k, available_units=free,
                 fog_cloud_delay_s=fog_cloud_s, dev_cloud_delay_s=dev_cloud_s,
             )
             # The routine hands back the previous request's breakdown while
@@ -329,19 +347,27 @@ class FogEnvironment:
             # figures again: they are worked out only for a new one.
             if parts is not last:
                 last = parts
-                fog = parts.fog_s
+                runs.append((parts.fog_s, request))
                 units = parts.transmission_s / per_unit if per_unit > 0 else 0.0
                 total = parts.total_s
                 if not 0.0 <= total < math.inf:     # negative, infinite or NaN
                     clock.now = now
                     clock.advance(total)    # raises the clock's forward-time error
-            for i, seconds in enumerate(fog):
-                busy[i] += seconds
             uplink_units += units
             now += total
         clock.now = now
         duration_s = now - started
         stress.advance(now)
+
+        # Fog busy time by module position, as the breakdown's fog seconds are.
+        busy = [0.0] * k
+        ends = [first for _fog, first in runs[1:]] + [requests]
+        for (fog, first), end in zip(runs, ends):
+            for i, seconds in enumerate(fog):
+                summed = busy[i]
+                for _ in range(end - first):
+                    summed += seconds
+                busy[i] = summed
 
         usage = ResourceUsage()
         if k > 0 and duration_s > 0:

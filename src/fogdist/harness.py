@@ -65,6 +65,7 @@ from .seeding import derive_seed
 RUN_FORMAT_VERSION = 1
 CALIBRATION_REL_TOL = 0.02
 FD_STAGES = ("greyscale", "motion", "face")     # the stages fd's calibration checks
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -143,13 +144,26 @@ class BoxplotStats:
         arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] == 0:
             raise ValueError("need equal-length rows of at least one sample")
-        quartiles = np.percentile(arr, [25.0, 50.0, 75.0], axis=1).T.tolist()
-        per_row = zip(arr.min(axis=1).tolist(), quartiles, arr.mean(axis=1).tolist(),
-                      arr.max(axis=1).tolist())
+        n = arr.shape[1]
+        lows, highs = arr.min(axis=1), arr.max(axis=1)
+        # numpy's quartiles subtract neighbouring samples and its mean sums
+        # them all, and either can overflow on finite samples.  The quartiles
+        # of a row whose span would overflow are taken on the halved row and
+        # doubled back; the mean of a row whose sum could (a sample beyond
+        # max / n) is taken on the row times 2**-s <= 1/n and scaled back.
+        # Power-of-two scaling is exact on normal floats, and every other row
+        # is worked at scale 1, so it keeps numpy's bits.
+        halve = highs * 0.5 - lows * 0.5 > _FLOAT_MAX * 0.5
+        q_scale = np.where(halve, 0.5, 1.0)[:, None]
+        quartiles = (np.percentile(arr * q_scale, [25.0, 50.0, 75.0], axis=1).T / q_scale).tolist()
+        shrink = np.maximum(highs, -lows) > _FLOAT_MAX / n
+        m_scale = np.where(shrink, 2.0 ** -(n - 1).bit_length(), 1.0)
+        means = ((arr * m_scale[:, None]).mean(axis=1) / m_scale).tolist()
+        per_row = zip(lows.tolist(), quartiles, means, highs.tolist())
         # The exact mean lies in [min, max]; the rounded one can miss by an ulp.
         return [
             cls(minimum=minimum, q1=q1, median=median, mean=min(max(mean, minimum), maximum),
-                q3=q3, maximum=maximum, count=arr.shape[1])
+                q3=q3, maximum=maximum, count=n)
             for minimum, (q1, median, q3), mean, maximum in per_row
         ]
 

@@ -145,6 +145,21 @@ def test_stress_load_is_the_draw_of_the_elapsed_interval(seed, steps):
         assert (process.interval, process.load) == (interval, loads[interval])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2026, 2**32 - 1, derive_seed(2026, "stress")])
+def test_stress_draws_are_the_interpreters_randrange(seed):
+    """`StressProcess` inlines `randrange(CAPACITY_UNITS)`'s rejection loop; if
+    the interpreter ever draws it otherwise, this fails by name rather than as
+    a digest mismatch."""
+    draws = 2500
+    process = StressProcess(seed)
+    loads = [process.load]
+    for i in range(1, draws):
+        process.advance(i * STRESS_RESAMPLE_S)
+        loads.append(process.load)
+    reference = random.Random(seed)
+    assert loads == [reference.randrange(CAPACITY_UNITS) for _ in range(draws)]
+
+
 def test_stress_load_depends_only_on_the_time():
     """However the first 10 s are cut into calls, 10.0 s lands on interval 1."""
     chunked, whole = StressProcess(1), StressProcess(1)
@@ -752,6 +767,31 @@ def deploy_both(profile, seed: int, stressed: bool, plans) -> None:
             assert mine.execute(k, clock_mine) == expected
         assert clock_mine.now == clock_theirs.now
         assert np.array_equal(mine.raw_state, theirs.raw_state)
+
+
+@pytest.mark.parametrize("profile, requests", [(fd_profile(), 120), (ipokemon_profile(), 2000)],
+                         ids=["fd", "ipokemon"])
+def test_execute_matches_the_reference_over_several_free_units_values(profile, requests,
+                                                                       monkeypatch):
+    """An all-on-Fog deployment of seed 6 that lasts about 33 s meets the free
+    units 3, 1, 6 and 1 again, and the one unit left free stretches its
+    2-unit stages, so `execute` sums its busy time over runs of requests with
+    different fog seconds; outcome, clock and raw state must still be the
+    reference's."""
+    long = dataclasses.replace(profile, requests_per_deployment=requests)
+    available, fog_seconds = [], set()
+    breakdown = env_module.request_latency_breakdown
+
+    def recorded(*args, **kwargs):
+        available.append(kwargs["available_units"])
+        parts = breakdown(*args, **kwargs)
+        fog_seconds.add(parts.fog_s)
+        return parts
+
+    monkeypatch.setattr(env_module, "request_latency_breakdown", recorded)
+    deploy_both(long, 6, True, [long.n_modules])
+    assert len(available) == requests
+    assert len(set(available)) >= 3 and len(fog_seconds) >= 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -212,7 +212,21 @@ def test_boxplot_single_sample():
     assert stats.count == 1
 
 
-_FINITE = st.floats(-1e300, 1e300)     # wider spans overflow the quartile arithmetic
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_FINITE = st.floats(-_FLOAT_MAX, _FLOAT_MAX)
+
+
+@pytest.mark.parametrize("samples, row", [
+    ([-1e308, 1e308], [-1e308, -5e307, 0.0, 0.0, 5e307, 1e308]),
+    ([-_FLOAT_MAX, _FLOAT_MAX], [-_FLOAT_MAX, -_FLOAT_MAX / 2, 0.0, 0.0, _FLOAT_MAX / 2, _FLOAT_MAX]),
+    ([_FLOAT_MAX] * 3, [_FLOAT_MAX] * 6),
+    ([_FLOAT_MAX, _FLOAT_MAX, -_FLOAT_MAX, -_FLOAT_MAX],
+     [-_FLOAT_MAX, -_FLOAT_MAX, 0.0, 0.0, _FLOAT_MAX, _FLOAT_MAX]),
+    ([1e308, 1e308, -1e308], [-1e308, 0.0, 1e308, 1e308 / 3, 1e308, 1e308]),
+])
+def test_boxplot_summarises_samples_whose_span_or_sum_passes_the_float_range(samples, row):
+    """numpy's quartile spans and mean sum would overflow on these."""
+    assert BoxplotStats.from_samples(samples).as_row() == row
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,11 +241,19 @@ def test_boxplot_stats_summarise_any_finite_samples(samples):
 
 
 def _summary_of_one_row(row) -> list[float]:
-    """The oracle for `from_rows`: one row summarised alone, as `as_row` orders it."""
+    """The oracle for `from_rows`: one row summarised alone, as `as_row` orders
+    it, by numpy on the row itself unless that would pass the float range:
+    then the quartiles are the halved row's doubled, and the mean is that of
+    the row times 2**-s (2**s >= the row's length) scaled back."""
     arr = np.asarray(row, dtype=np.float64)
-    q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
     minimum, maximum = float(arr.min()), float(arr.max())
-    mean = min(max(float(arr.mean()), minimum), maximum)
+    q_scale = 0.5 if maximum / 2 - minimum / 2 > _FLOAT_MAX / 2 else 1.0
+    q1, median, q3 = np.percentile(arr * q_scale, [25.0, 50.0, 75.0]) / q_scale
+    m_scale = 1.0
+    if max(maximum, -minimum) > _FLOAT_MAX / len(arr):     # the sum could overflow
+        while m_scale * len(arr) > 1:
+            m_scale /= 2
+    mean = min(max(float((arr * m_scale).mean()) / m_scale, minimum), maximum)
     return [minimum, float(q1), float(median), mean, float(q3), maximum]
 
 
