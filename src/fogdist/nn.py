@@ -2,14 +2,14 @@
 
 Forward pass for layer l: z_l = W_l a_{l-1} + b_l, a_l = relu(z_l) on the
 hidden layers and identity on the output.  Training only ever regresses the
-output of a single action toward a scalar target: `_forward_sample` gives
-its loss (target - q[action])**2 and `_hidden_deltas` propagates its
-gradient.  The SGD step checks the loss before any gradient, then moves
-only row `action` of the output weights and that action's output bias, plus
-every hidden layer.  Plain gradient descent, float64 throughout; weights and
-biases serialise to a JSON-ready dict whose floats round-trip exactly.  The
-dict is stored only inside an agent checkpoint, which also holds what the
-architecture follows from.
+output of a single action toward a scalar target, and `sgd_step` does it in
+one pass: it checks its inputs, runs forward keeping every activation,
+checks the loss (target - q[action])**2 before any gradient, propagates the
+deltas down, then moves row `action` of the output weights, that action's
+output bias and every hidden layer.  Plain gradient descent, float64
+throughout; weights and biases serialise to a JSON-ready dict whose floats
+round-trip exactly.  The dict is stored only inside an agent checkpoint,
+which also holds what the architecture follows from.
 """
 from __future__ import annotations
 
@@ -91,50 +91,6 @@ class QNetwork:
             a = np.maximum(w.dot(a) + b, 0.0)
         return self.weights[-1].dot(a) + self.biases[-1]
 
-    def _check_sample(self, x, action: int, target: float) -> np.ndarray:
-        x = self._check_input(x)
-        if not 0 <= action < self.architecture.output_dim:
-            raise ValueError(f"action must lie in [0, {self.architecture.output_dim}), got {action!r}")
-        if not math.isfinite(target):
-            raise ValueError(f"target must be finite, got {target!r}")
-        return x
-
-    def _forward_sample(self, x: np.ndarray, action: int, target: float):
-        """Forward pass at the current weights: (loss, q[action], layers).
-
-        Loss and q are Python floats, so a loss beyond float64 reads inf with
-        no numpy warning; layers holds each hidden layer's (input, output),
-        lowest layer first.
-        """
-        layers = []
-        a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            out = np.maximum(w.dot(a) + b, 0.0)
-            layers.append((a, out))
-            a = out
-        # q from the full output product: a row dot product rounds differently.
-        q = float((self.weights[-1].dot(a) + self.biases[-1])[action])
-        diff = target - q
-        return diff * diff, q, layers
-
-    def _hidden_deltas(self, action: int, d: float, layers) -> list:
-        """Backward pass from d = dL/dq[action] = 2 (q - target).
-
-        Returns, lowest layer first, each hidden layer's (delta, input) with
-        delta = dL/dz.  Only row `action` of the output layer gets a
-        gradient, d times the top hidden output; a hidden layer's weight
-        gradient is outer(delta, input) and its bias gradient delta.
-        """
-        hidden = []
-        delta = self.weights[-1][action] * d
-        for i in range(len(layers) - 1, -1, -1):
-            a, out = layers[i]
-            delta = delta * (out > 0)
-            hidden.append((delta, a))
-            if i > 0:
-                delta = delta.dot(self.weights[i])
-        return hidden[::-1]
-
     def sgd_step(self, x, action: int, target: float, learning_rate: float) -> float:
         """One descent step on the single-action squared error; returns the pre-step loss.
 
@@ -144,16 +100,37 @@ class QNetwork:
         """
         if learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        x = self._check_sample(x, action, target)
-        loss, q, layers = self._forward_sample(x, action, target)
+        x = self._check_input(x)
+        if not 0 <= action < self.architecture.output_dim:
+            raise ValueError(f"action must lie in [0, {self.architecture.output_dim}), got {action!r}")
+        if not math.isfinite(target):
+            raise ValueError(f"target must be finite, got {target!r}")
+        # acts: the input, then each hidden layer's output, lowest first.
+        acts = [x]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(np.maximum(w.dot(acts[-1]) + b, 0.0))
+        # q from the full output product: a row dot product rounds differently.
+        # As Python floats, a loss beyond float64 reads inf with no warning.
+        q = float((self.weights[-1].dot(acts[-1]) + self.biases[-1])[action])
+        diff = target - q
+        loss = diff * diff
         if not math.isfinite(loss):
             raise ValueError(f"training diverged at learning_rate={learning_rate!r}: "
                              f"a step's loss is {loss!r}")
+        # Backward from d = dL/dq[action]; deltas[i] = dL/dz of hidden layer i.
         d = 2.0 * (q - target)
-        hidden = self._hidden_deltas(action, d, layers)
-        self.weights[-1][action] -= learning_rate * (d * layers[-1][1])
+        deltas = [None] * (len(acts) - 1)
+        delta = self.weights[-1][action] * d
+        for i in range(len(deltas) - 1, -1, -1):
+            delta = delta * (acts[i + 1] > 0)
+            deltas[i] = delta
+            if i > 0:
+                delta = delta.dot(self.weights[i])
+        # Only row `action` of the output layer has a gradient; a hidden
+        # layer's weight gradient is outer(delta, input), its bias's delta.
+        self.weights[-1][action] -= learning_rate * (d * acts[-1])
         self.biases[-1][action] -= learning_rate * d
-        for w, b, (delta, a) in zip(self.weights, self.biases, hidden):
+        for w, b, delta, a in zip(self.weights, self.biases, deltas, acts):
             w -= learning_rate * (delta[:, None] * a)
             b -= learning_rate * delta
         return loss

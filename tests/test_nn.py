@@ -154,14 +154,22 @@ def test_from_dict_rejects_unknown_and_missing_keys():
 
 
 def test_invalid_training_inputs():
+    """Each bad argument is refused by name, before any parameter moves."""
     net = QNetwork.initialize(small_arch(), seed=15)
-    x = np.zeros(5)
-    with pytest.raises(ValueError):
-        net.sgd_step(x, 9, 0.0, 0.01)
-    with pytest.raises(ValueError):
-        net.sgd_step(x, 0, float("nan"), 0.01)
-    with pytest.raises(ValueError):
-        net.sgd_step(x, 0, 0.0, 0.0)
+    before = [p.copy() for p in net.weights + net.biases]
+    x = np.full(5, 0.5)
+    refusals = [
+        ((x, 9, 0.0, 0.01), r"^action must lie in \[0, 4\), got 9$"),
+        ((x, 0, float("nan"), 0.01), r"^target must be finite, got nan$"),
+        ((x, 0, 0.0, 0.0), r"^learning_rate must be > 0$"),
+        ((x, 0, 0.0, -0.01), r"^learning_rate must be > 0$"),
+        ((np.zeros(6), 0, 0.0, 0.01), r"^input must have shape \(5,\), got \(6,\)$"),
+    ]
+    for args, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            net.sgd_step(*args)
+        for old, p in zip(before, net.weights + net.biases):
+            assert np.array_equal(old, p)
 
 
 @st.composite
@@ -191,3 +199,33 @@ def test_forward_matches_a_matmul_reference_chain(sample):
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         a = np.maximum(w @ a + b, 0.0)
     assert np.array_equal(net.forward(x), net.weights[-1] @ a + net.biases[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=training_samples(), learning_rate=st.floats(1e-4, 0.1))
+def test_sgd_step_matches_a_matmul_reference_step(sample, learning_rate):
+    """One step against an outer-product reference: the loss and every
+    parameter equal to the bit, at 1 to 3 hidden layers."""
+    net, x, action, target = sample
+    weights = [w.copy() for w in net.weights]
+    biases = [b.copy() for b in net.biases]
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(w @ acts[-1] + b, 0.0))
+    q = float((weights[-1] @ acts[-1] + biases[-1])[action])
+    diff = target - q
+    d = 2 * (q - target)
+    delta = np.zeros_like(biases[-1])
+    delta[action] = d
+    grads = {}
+    for i in range(len(weights) - 1, -1, -1):
+        grads[i] = (np.outer(delta, acts[i]), delta)
+        if i > 0:
+            delta = (delta @ weights[i]) * (acts[i] > 0)
+
+    loss = net.sgd_step(x, action, target, learning_rate)
+
+    assert loss == diff * diff
+    for i, (grad_w, grad_b) in grads.items():
+        assert np.array_equal(net.weights[i], weights[i] - learning_rate * grad_w)
+        assert np.array_equal(net.biases[i], biases[i] - learning_rate * grad_b)
