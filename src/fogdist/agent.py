@@ -11,7 +11,7 @@ rate decays one notch.  `AgentConfig` holds and checks every setting, so
 its errors name the keys (`epsilon_*`, `hidden_*`, ...); the agent's
 decay count is its only exploration state.
 A checkpoint is one `Checkpoint` record: the network's parameters next to
-the profile (one output per plan) and `config` its architecture follows from.
+the profile (one output per plan) and `config` its layer sizes follow from.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .model import (
     deployment_utility,
     strategy_utility,
 )
-from .nn import NetworkArchitecture, QNetwork
+from .nn import QNetwork
 from .profiles import (
     ApplicationProfile,
     read_json_file,
@@ -91,8 +91,8 @@ class AgentConfig:
     def __post_init__(self):
         if not 0 <= self.discount < 1:
             raise ValueError("discount must lie in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         for name in ("batch_size", "replay_capacity", "hidden_layers", "hidden_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -102,14 +102,10 @@ class AgentConfig:
             raise ValueError("epsilon_decay must lie in (0, 1)")
 
 
-def network_architecture(n_actions: int, config: AgentConfig) -> NetworkArchitecture:
-    """The value network a learner with `n_actions` plans and `config` uses."""
-    return NetworkArchitecture(
-        input_dim=len(STATE_FACTORS),
-        hidden_layers=config.hidden_layers,
-        hidden_width=config.hidden_width,
-        output_dim=n_actions,
-    )
+def layer_sizes(n_actions: int, config: AgentConfig) -> tuple[int, ...]:
+    """The layer sizes of the value network a learner with `n_actions` plans
+    and `config` uses: the state factors in, one value out per plan."""
+    return (len(STATE_FACTORS), *(config.hidden_width,) * config.hidden_layers, n_actions)
 
 
 class StaticStrategy:
@@ -140,24 +136,24 @@ class DQNAgent:
     def __init__(self, n_actions: int, config: AgentConfig | None = None, seed: int = 0,
                  network: QNetwork | None = None):
         """A fresh learner; `network`, when given, is used in place of a new
-        seeded one and must have `network_architecture(n_actions, config)`
-        (a ValueError gives the expected and the actual architecture)."""
+        seeded one and must have `layer_sizes(n_actions, config)` (a
+        ValueError gives the expected and the actual sizes)."""
         if n_actions < 1:
             raise ValueError("n_actions must be >= 1")
         self.config = config or AgentConfig()
-        architecture = network_architecture(n_actions, self.config)
+        sizes = layer_sizes(n_actions, self.config)
         if network is None:
-            network = QNetwork.initialize(architecture, seed=derive_seed(seed, "q-network"))
-        elif network.architecture != architecture:
-            raise ValueError(f"expected a network with {architecture}, "
-                             f"got one with {network.architecture}")
+            network = QNetwork.initialize(sizes, seed=derive_seed(seed, "q-network"))
+        elif network.sizes != sizes:
+            raise ValueError(f"expected a network with layer sizes {sizes}, "
+                             f"got one with {network.sizes}")
         self.network = network
         self.memory = ReplayMemory(self.config.replay_capacity)
         self.decays_done = 0
 
     @property
     def n_actions(self) -> int:
-        return self.network.architecture.output_dim
+        return self.network.sizes[-1]
 
     @property
     def epsilon(self) -> float:
@@ -433,7 +429,7 @@ def load_checkpoint(path: str | Path) -> tuple[DQNAgent, Checkpoint]:
     record = record_from_dict(Checkpoint, data, str(path))
     n_actions = record.profile.n_modules + 1
     network = QNetwork.from_dict(
-        record.network, network_architecture(n_actions, record.config), f"{path}.network"
+        record.network, layer_sizes(n_actions, record.config), f"{path}.network"
     )
     agent = DQNAgent(n_actions, record.config, network=network)
     agent.decays_done = record.decays_done

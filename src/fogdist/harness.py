@@ -55,6 +55,7 @@ from .model import FOG_PRICE_RATIO_GRID, PricingModel, UtilityWeights
 from .profiles import (
     FD_TRANSMISSION_CHAIN_S,
     ApplicationProfile,
+    fd_profile,
     read_json_file,
     record_from_dict,
     resolve_profile,
@@ -64,7 +65,7 @@ from .seeding import derive_seed
 
 RUN_FORMAT_VERSION = 1
 CALIBRATION_REL_TOL = 0.02
-FD_STAGES = ("greyscale", "motion", "face")     # the stages fd's calibration checks
+FD_STAGES = tuple(m.name for m in fd_profile().modules)   # the stages fd's calibration checks
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 

@@ -9,7 +9,7 @@ deltas down, then moves row `action` of the output weights, that action's
 output bias and every hidden layer.  Plain gradient descent, float64
 throughout; weights and biases serialise to a JSON-ready dict whose floats
 round-trip exactly.  The dict is stored only inside an agent checkpoint,
-which also holds what the architecture follows from.
+which also holds what the layer sizes follow from.
 """
 from __future__ import annotations
 
@@ -22,22 +22,6 @@ from .profiles import record_from_dict
 
 
 @dataclass(frozen=True)
-class NetworkArchitecture:
-    input_dim: int
-    hidden_layers: int
-    hidden_width: int
-    output_dim: int
-
-    def __post_init__(self):
-        for name in ("input_dim", "hidden_layers", "hidden_width", "output_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"architecture.{name}: must be >= 1")
-
-    def layer_sizes(self) -> list[int]:
-        return [self.input_dim] + [self.hidden_width] * self.hidden_layers + [self.output_dim]
-
-
-@dataclass(frozen=True)
 class _SerialisedNetwork:
     """The JSON form of a `QNetwork`, as `record_from_dict` type-checks it."""
 
@@ -45,12 +29,20 @@ class _SerialisedNetwork:
     biases: tuple[tuple[float, ...], ...]
 
 
-class QNetwork:
-    """Feed-forward action-value network."""
+def _checked_sizes(sizes) -> tuple[int, ...]:
+    sizes = tuple(sizes)
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"layer sizes must be two or more, each >= 1, got {sizes}")
+    return sizes
 
-    def __init__(self, architecture: NetworkArchitecture,
+
+class QNetwork:
+    """Feed-forward action-value network; `sizes` are its layer widths, input
+    first and one output per action last."""
+
+    def __init__(self, sizes: tuple[int, ...],
                  weights: list[np.ndarray], biases: list[np.ndarray]):
-        sizes = architecture.layer_sizes()
+        sizes = _checked_sizes(sizes)
         layers = len(sizes) - 1
         if len(weights) != layers or len(biases) != layers:
             raise ValueError(f"expected {layers} weight matrices and bias vectors, "
@@ -60,28 +52,26 @@ class QNetwork:
             if (w.shape, b.shape) != shapes:
                 raise ValueError(f"layer {i}: expected weight and bias shapes {shapes}, "
                                  f"got {(w.shape, b.shape)}")
-        self.architecture = architecture
+        self.sizes = sizes
         self.weights = weights
         self.biases = biases
 
     @classmethod
-    def initialize(cls, architecture: NetworkArchitecture, seed: int = 0) -> "QNetwork":
+    def initialize(cls, sizes: tuple[int, ...], seed: int = 0) -> "QNetwork":
         """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+        sizes = _checked_sizes(sizes)
         rng = np.random.default_rng(seed)
-        sizes = architecture.layer_sizes()
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out, dtype=np.float64))
-        return cls(architecture, weights, biases)
+        return cls(sizes, weights, biases)
 
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.architecture.input_dim,):
-            raise ValueError(
-                f"input must have shape ({self.architecture.input_dim},), got {x.shape}"
-            )
+        if x.shape != (self.sizes[0],):
+            raise ValueError(f"input must have shape ({self.sizes[0]},), got {x.shape}")
         return x
 
     def forward(self, x) -> np.ndarray:
@@ -98,11 +88,11 @@ class QNetwork:
         A pre-step loss that is not finite means training has diverged: the
         step raises a ValueError before any gradient or parameter write.
         """
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         x = self._check_input(x)
-        if not 0 <= action < self.architecture.output_dim:
-            raise ValueError(f"action must lie in [0, {self.architecture.output_dim}), got {action!r}")
+        if not 0 <= action < self.sizes[-1]:
+            raise ValueError(f"action must lie in [0, {self.sizes[-1]}), got {action!r}")
         if not math.isfinite(target):
             raise ValueError(f"target must be finite, got {target!r}")
         # acts: the input, then each hidden layer's output, lowest first.
@@ -138,23 +128,23 @@ class QNetwork:
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The parameters only: the architecture is the caller's to record."""
+        """The parameters only: the layer sizes are the caller's to record."""
         return {
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
 
     @classmethod
-    def from_dict(cls, data: dict, architecture: NetworkArchitecture,
+    def from_dict(cls, data: dict, sizes: tuple[int, ...],
                   where: str = "network") -> "QNetwork":
-        """Rebuild a network of `architecture` from `to_dict` output: every
-        value type-checked, and finite parameters of the shapes the
-        architecture asks for.  Every error is a ValueError naming ``where``."""
+        """Rebuild a network of layer `sizes` from `to_dict` output: every
+        value type-checked, and finite parameters of the shapes the sizes
+        ask for.  Every error is a ValueError naming ``where``."""
         read = record_from_dict(_SerialisedNetwork, data, where)
         try:
             weights = [np.array(w, dtype=np.float64) for w in read.weights]
             biases = [np.array(b, dtype=np.float64) for b in read.biases]
-            network = cls(architecture, weights, biases)
+            network = cls(sizes, weights, biases)
         except (ValueError, OverflowError) as exc:   # overflow: an integer beyond float64
             raise ValueError(f"{where}: malformed parameters ({exc})") from None
         if not all(np.isfinite(p).all() for p in weights + biases):

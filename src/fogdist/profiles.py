@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -252,6 +253,9 @@ def typed_value(kind, value, where: str):
             return tuple(value)       # a network's floats: skip the per-item call
         return tuple(typed_value(item_kind, item, f"{where}[{i}]") for i, item in enumerate(value))
     accepted = typing.get_args(kind) or (kind,)   # int | None -> (int, NoneType)
+    if float in accepted and type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(f"{where}: expected a number float64 can hold, "
+                         f"got an integer of {len(str(abs(value)))} digits")
     if any(_json_matches(value, scalar) for scalar in accepted):
         return value
     expected = " or ".join(_JSON_NAMES[scalar] for scalar in accepted)

@@ -33,7 +33,7 @@ from fogdist.model import (
     deployment_cost,
     fog_cost,
 )
-from fogdist.nn import NetworkArchitecture, QNetwork
+from fogdist.nn import QNetwork
 from fogdist.profiles import fd_profile, heavy_profile
 from gradcheck import numeric_gradients, step_gradients
 
@@ -112,7 +112,7 @@ def test_01_cost_model_exactness():
 
 
 def test_02_gradient_check():
-    arch = NetworkArchitecture(input_dim=5, hidden_layers=2, hidden_width=8, output_dim=4)
+    arch = (5, 8, 8, 4)
     rng = np.random.default_rng(12345)
     worst = 0.0
     for case in range(100):

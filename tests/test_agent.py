@@ -19,8 +19,8 @@ from fogdist.agent import (
     ReplayMemory,
     StaticStrategy,
     Transition,
+    layer_sizes,
     load_checkpoint,
-    network_architecture,
     price_deployment,
     run_episode,
     save_checkpoint,
@@ -30,7 +30,7 @@ from fogdist.agent import (
 )
 from fogdist.env import FogEnvironment
 from fogdist.model import PricingModel, UtilityWeights
-from fogdist.nn import NetworkArchitecture, QNetwork
+from fogdist.nn import QNetwork
 from fogdist.profiles import fd_profile, heavy_profile
 
 PRICING = PricingModel()
@@ -41,13 +41,11 @@ PROVENANCE = Provenance(config_hash="0123456789ab", master_seed=5, weights=HYBRI
 
 def bias_only_network(output_biases):
     """A 19-input net whose forward pass returns exactly output_biases."""
-    arch = NetworkArchitecture(input_dim=19, hidden_layers=2, hidden_width=4,
-                               output_dim=len(output_biases))
-    weights = [np.zeros((later, earlier)) for earlier, later in
-               zip(arch.layer_sizes()[:-1], arch.layer_sizes()[1:])]
-    biases = [np.zeros(size) for size in arch.layer_sizes()[1:]]
+    sizes = (19, 4, 4, len(output_biases))
+    weights = [np.zeros((later, earlier)) for earlier, later in zip(sizes[:-1], sizes[1:])]
+    biases = [np.zeros(size) for size in sizes[1:]]
     biases[-1] = np.asarray(output_biases, dtype=float)
-    return QNetwork(arch, weights, biases)
+    return QNetwork(sizes, weights, biases)
 
 
 def make_transition(reward=0.0, terminal=False, action=0):
@@ -453,8 +451,9 @@ def test_agent_config_validation():
         AgentConfig(discount=1.0)
     with pytest.raises(ValueError):
         AgentConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        AgentConfig(learning_rate=0.0)
+    for learning_rate in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^learning_rate must be finite and > 0$"):
+            AgentConfig(learning_rate=learning_rate)
     for key in ("batch_size", "replay_capacity", "hidden_layers", "hidden_width"):
         with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
             AgentConfig(**{key: 0})
@@ -464,14 +463,12 @@ def test_agent_config_validation():
 
 def test_agent_refuses_a_network_of_another_architecture():
     config = AgentConfig(hidden_width=8)
-    default_net = QNetwork.initialize(network_architecture(4, AgentConfig()), seed=0)
+    default_net = QNetwork.initialize(layer_sizes(4, AgentConfig()), seed=0)
     with pytest.raises(ValueError, match=re.escape(
-        "expected a network with NetworkArchitecture(input_dim=19, hidden_layers=2, "
-        "hidden_width=8, output_dim=4), got one with NetworkArchitecture(input_dim=19, "
-        "hidden_layers=2, hidden_width=24, output_dim=4)")):
+        "expected a network with layer sizes (19, 8, 8, 4), got one with (19, 24, 24, 4)")):
         DQNAgent(4, config, network=default_net)
-    with pytest.raises(ValueError, match="output_dim=3.*output_dim=4"):
+    with pytest.raises(ValueError, match=re.escape("(19, 24, 24, 3), got one with (19, 24, 24, 4)")):
         DQNAgent(3, network=default_net)
-    fitting = QNetwork.initialize(network_architecture(4, config), seed=0)
+    fitting = QNetwork.initialize(layer_sizes(4, config), seed=0)
     agent = DQNAgent(4, config, network=fitting)
     assert agent.network is fitting and agent.n_actions == 4

@@ -21,8 +21,8 @@ from fogdist.agent import (
     GreedyNetworkStrategy,
     Provenance,
     StaticStrategy,
+    layer_sizes,
     load_checkpoint,
-    network_architecture,
     save_checkpoint,
     score_deployment,
     simulate_episode,
@@ -307,7 +307,7 @@ def test_same_plan_sees_identical_experiments_regardless_of_mix():
 
 
 def _non_learning_strategies(profile):
-    net = QNetwork.initialize(network_architecture(profile.n_modules + 1, AgentConfig()), seed=0)
+    net = QNetwork.initialize(layer_sizes(profile.n_modules + 1, AgentConfig()), seed=0)
     return {**static_strategies(profile), "context-aware": GreedyNetworkStrategy(net)}
 
 
@@ -696,7 +696,7 @@ def test_calibrate_fails_when_uplink_drifts():
 # -- decision latency ---------------------------------------------------------
 
 def test_measure_decision_latency_stats():
-    net = QNetwork.initialize(network_architecture(4, AgentConfig()), seed=0)
+    net = QNetwork.initialize(layer_sizes(4, AgentConfig()), seed=0)
     stats, samples = measure_decision_latency(net, n=300, seed=1)
     assert stats.count == 300 and len(samples) == 300
     assert 0 < stats.minimum <= stats.q1 <= stats.median <= stats.q3 <= stats.maximum
@@ -924,6 +924,9 @@ MISTYPED_CONFIGS = [
     ({"profile": 5}, "config.profile"),
     ({"pricing": {"fog_price_ratio": "0.1"}}, "config.pricing.fog_price_ratio"),
     ({"agent": {"epsilon_decay": None}}, "config.agent.epsilon_decay"),
+    # An integer float64 cannot hold is refused by the reader, not left to overflow later.
+    ({"pricing": {"vm_hourly": 10**400}}, "config.pricing.vm_hourly"),
+    ({"agent": {"learning_rate": -10**400}}, "config.agent.learning_rate"),
 ]
 
 
@@ -945,6 +948,7 @@ def test_cli_train_rejects_a_mistyped_config_before_writing(tmp_path, capsys, co
     ("modules.0.compute_s", "fast"),
     ("modules.0.pass_fraction", None),
     ("modules.0.demand.cpu_units", "1"),
+    pytest.param("modules.0.compute_s", 10**400, id="modules.0.compute_s-int-overflow"),
 ])
 def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, path, value):
     data = json.loads(json.dumps(profile_to_dict(fd_profile())))
@@ -968,6 +972,8 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
 @pytest.mark.parametrize("section, key, value, message", [
     ("network", None, 5, ".network: expected an object, got 5"),
     ("config", "learning_rate", "0.001", ".config.learning_rate: expected a number, got \"0.001\""),
+    ("config", "learning_rate", 10**400, ".config.learning_rate: expected a number float64 can "
+     "hold, got an integer of 401 digits"),
     ("config", "hidden_width", 24.0, ".config.hidden_width: expected an integer, got 24.0"),
     ("config", "epsilon_floor", 2.0, ".config: need 0 <= epsilon_floor <= epsilon_start <= 1"),
     ("config", "hidden_width", 0, ".config: hidden_width must be >= 1"),
@@ -1003,7 +1009,7 @@ def test_cli_train_rejects_a_mistyped_profile_before_writing(tmp_path, capsys, p
     ("network", "architecture", {}, ".network: unknown key(s) ['architecture']"),
     ("provenance", None, 5, ".provenance: expected an object, got 5"),
     ("provenance", "master_seed", "3", ".provenance.master_seed: expected an integer, got \"3\""),
-], ids=["network", "learning_rate", "hidden_width", "epsilon_floor", "hidden_width-zero",
+], ids=["network", "learning_rate", "learning_rate-int-overflow", "hidden_width", "epsilon_floor", "hidden_width-zero",
         "decays_done",
         "decays_done-float", "decays_done-bool", "decays_done-negative", "profile.name",
         "profile.modules.compute_s", "profile.requests_per_deployment", "profile",

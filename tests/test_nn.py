@@ -1,26 +1,35 @@
 """Value-network tests: initialisation, forward math, gradients, persistence."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogdist.nn import NetworkArchitecture, QNetwork
+from fogdist.nn import QNetwork
 from gradcheck import numeric_gradients, step_gradients
 
 
 def small_arch():
-    return NetworkArchitecture(input_dim=5, hidden_layers=2, hidden_width=8, output_dim=4)
+    return (5, 8, 8, 4)
+
+
+def network_sizes():
+    """Sizes of a network with 1 to 3 hidden layers of one width."""
+    return st.tuples(st.integers(1, 8), st.integers(1, 3), st.integers(1, 30),
+                     st.integers(1, 6)).map(lambda d: (d[0], *(d[2],) * d[1], d[3]))
 
 
 def test_architecture_validation():
-    with pytest.raises(ValueError, match="input_dim"):
-        NetworkArchitecture(input_dim=0, hidden_layers=2, hidden_width=24, output_dim=2)
-    with pytest.raises(ValueError, match="output_dim"):
-        NetworkArchitecture(input_dim=3, hidden_layers=2, hidden_width=24, output_dim=0)
-    assert NetworkArchitecture(19, 2, 24, 4).layer_sizes() == [19, 24, 24, 4]
+    with pytest.raises(ValueError, match=re.escape("each >= 1, got (0, 24, 24, 2)")):
+        QNetwork.initialize((0, 24, 24, 2))
+    with pytest.raises(ValueError, match=re.escape("each >= 1, got (3, 24, 24, 0)")):
+        QNetwork.initialize((3, 24, 24, 0))
+    with pytest.raises(ValueError, match=re.escape("two or more, each >= 1, got (19,)")):
+        QNetwork((19,), [], [])
+    assert QNetwork.initialize([19, 24, 24, 4]).sizes == (19, 24, 24, 4)
 
 
 def test_initialize_is_seeded_and_bounded():
@@ -30,7 +39,7 @@ def test_initialize_is_seeded_and_bounded():
     for wa, wb in zip(net_a.weights, net_b.weights):
         assert np.array_equal(wa, wb)
     assert any(not np.array_equal(wa, wc) for wa, wc in zip(net_a.weights, net_c.weights))
-    sizes = small_arch().layer_sizes()
+    sizes = small_arch()
     for w, fan_in, fan_out in zip(net_a.weights, sizes[:-1], sizes[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         assert np.all(np.abs(w) <= limit)
@@ -40,8 +49,7 @@ def test_initialize_is_seeded_and_bounded():
 
 def test_forward_hand_computed():
     """1-1-1 net: x=1, w1=2, b1=0.5 -> relu(2.5)=2.5; w2=-3, b2=1 -> -6.5."""
-    arch = NetworkArchitecture(input_dim=1, hidden_layers=1, hidden_width=1, output_dim=1)
-    net = QNetwork(arch, [np.array([[2.0]]), np.array([[-3.0]])],
+    net = QNetwork((1, 1, 1), [np.array([[2.0]]), np.array([[-3.0]])],
                    [np.array([0.5]), np.array([1.0])])
     assert net.forward(np.array([1.0]))[0] == pytest.approx(-6.5, rel=1e-12)
     # negative pre-activation is clamped: x=-1 -> relu(-1.5)=0 -> output b2=1
@@ -125,7 +133,7 @@ def test_argmax_invariant_to_constant_output_shift():
     for _ in range(30):
         x = rng.uniform(0, 1, 5)
         base = int(np.argmax(net.forward(x)))
-        shifted = QNetwork.from_dict(net.to_dict(), net.architecture)
+        shifted = QNetwork.from_dict(net.to_dict(), net.sizes)
         shifted.biases[-1] += 10.0
         assert int(np.argmax(shifted.forward(x))) == base
 
@@ -137,9 +145,28 @@ def test_save_load_round_trip():
     loaded = QNetwork.from_dict(json.loads(json.dumps(net.to_dict())), small_arch())
     x = np.full(5, 0.8)
     assert np.array_equal(net.forward(x), loaded.forward(x))
-    assert loaded.architecture == net.architecture
+    assert loaded.sizes == net.sizes
     for mine, theirs in zip(net.weights + net.biases, loaded.weights + loaded.biases):
         assert np.array_equal(mine, theirs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=network_sizes(), seed=st.integers(0, 2**16), data=st.data())
+def test_from_dict_round_trips_and_refuses_other_sizes(sizes, seed, data):
+    """`from_dict(to_dict(net), net.sizes)` gives equal parameters; sizes that
+    differ in one entry are refused by the layer the change reaches first."""
+    net = QNetwork.initialize(sizes, seed=seed)
+    net.sgd_step(np.full(sizes[0], 0.5), 0, 1.0, 0.05)
+    loaded = QNetwork.from_dict(net.to_dict(), net.sizes)
+    assert loaded.sizes == sizes
+    for mine, theirs in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+        assert np.array_equal(mine, theirs)
+    i = data.draw(st.integers(0, len(sizes) - 1))
+    other = list(sizes)
+    other[i] = data.draw(st.integers(1, 40).filter(lambda n: n != sizes[i]))
+    with pytest.raises(ValueError, match=rf"^network: malformed parameters \(layer {max(i - 1, 0)}: "
+                                         r"expected weight and bias shapes "):
+        QNetwork.from_dict(net.to_dict(), tuple(other))
 
 
 def test_from_dict_rejects_unknown_and_missing_keys():
@@ -161,8 +188,10 @@ def test_invalid_training_inputs():
     refusals = [
         ((x, 9, 0.0, 0.01), r"^action must lie in \[0, 4\), got 9$"),
         ((x, 0, float("nan"), 0.01), r"^target must be finite, got nan$"),
-        ((x, 0, 0.0, 0.0), r"^learning_rate must be > 0$"),
-        ((x, 0, 0.0, -0.01), r"^learning_rate must be > 0$"),
+        ((x, 0, 0.0, 0.0), r"^learning_rate must be finite and > 0$"),
+        ((x, 0, 0.0, -0.01), r"^learning_rate must be finite and > 0$"),
+        ((x, 0, 0.0, float("nan")), r"^learning_rate must be finite and > 0$"),
+        ((x, 0, 0.0, float("inf")), r"^learning_rate must be finite and > 0$"),
         ((np.zeros(6), 0, 0.0, 0.01), r"^input must have shape \(5,\), got \(6,\)$"),
     ]
     for args, message in refusals:
@@ -175,17 +204,13 @@ def test_invalid_training_inputs():
 @st.composite
 def training_samples(draw):
     """A random network with mixed-sign biases and one (state, action, target) sample."""
-    arch = NetworkArchitecture(
-        input_dim=draw(st.integers(1, 8)), hidden_layers=draw(st.integers(1, 3)),
-        hidden_width=draw(st.integers(1, 30)), output_dim=draw(st.integers(1, 6)),
-    )
-    net = QNetwork.initialize(arch, seed=draw(st.integers(0, 2**16)))
+    net = QNetwork.initialize(draw(network_sizes()), seed=draw(st.integers(0, 2**16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     for b in net.biases:
         b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
-    x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=arch.input_dim,
-                               max_size=arch.input_dim)))
-    action = draw(st.integers(0, arch.output_dim - 1))
+    x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=net.sizes[0],
+                               max_size=net.sizes[0])))
+    action = draw(st.integers(0, net.sizes[-1] - 1))
     q = float(net.forward(x)[action])
     target = draw(st.one_of(st.just(q), st.floats(-10.0, 10.0)))
     return net, x, action, target
