@@ -21,7 +21,6 @@ import random
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -219,18 +218,6 @@ class DQNAgent:
         return GreedyNetworkStrategy(self.network)
 
 
-class DeploymentRecord(NamedTuple):
-    outcome: DeploymentOutcome
-    cost: float
-    utility: float
-
-
-@dataclass(frozen=True)
-class EpisodeResult:
-    utility: float
-    records: tuple[DeploymentRecord, ...]
-
-
 def price_deployment(outcome: DeploymentOutcome, n_modules: int, pricing: PricingModel) -> float:
     """What one deployment costs under `pricing`; the utility weights play no part."""
     return deployment_cost(
@@ -238,30 +225,10 @@ def price_deployment(outcome: DeploymentOutcome, n_modules: int, pricing: Pricin
     )
 
 
-def score_deployment(
-    outcome: DeploymentOutcome,
-    n_modules: int,
-    pricing: PricingModel,
-    weights: UtilityWeights,
-) -> DeploymentRecord:
-    """Price one deployment and weigh its utility under one (pricing, weights) cell."""
-    cost = price_deployment(outcome, n_modules, pricing)
-    return DeploymentRecord(outcome, cost, deployment_utility(weights, outcome, cost))
-
-
-def _episode_result(records) -> EpisodeResult:
-    records = tuple(records)
-    return EpisodeResult(
-        utility=strategy_utility(r.utility for r in records), records=records,
-    )
-
-
-def score_episode(outcomes, costs, weights: UtilityWeights) -> EpisodeResult:
-    """Weigh an already simulated episode whose deployments cost ``costs``
-    (`price_deployment` of each, in order) under one set of weights."""
-    return _episode_result(
-        DeploymentRecord(o, c, deployment_utility(weights, o, c)) for o, c in zip(outcomes, costs)
-    )
+def score_episode(outcomes, costs, weights: UtilityWeights) -> float:
+    """The utility under ``weights`` of an already simulated episode whose
+    deployments cost ``costs`` (`price_deployment` of each, in order)."""
+    return strategy_utility(deployment_utility(weights, o, c) for o, c in zip(outcomes, costs))
 
 
 def simulate_episode(
@@ -302,35 +269,36 @@ def run_episode(
     weights: UtilityWeights,
     rng: random.Random,
     deployments: int,
-) -> EpisodeResult:
-    """One training episode: simulate, scoring each deployment as it happens.
+) -> float:
+    """One training episode: simulate, scoring each deployment as it happens;
+    returns the episode's utility, the `strategy_utility` of its rewards.
 
     Each deployment's transition is stored, with its utility as the reward
     and the freshly observed state as the successor, and the agent replays
     before its next decision.
     """
     n = env.profile.n_modules
-    records = []
+    rewards = []
 
     def score_and_learn(state, outcome, next_state, terminal):
-        record = score_deployment(outcome, n, pricing, weights)
-        records.append(record)
         try:
+            reward = deployment_utility(weights, outcome, price_deployment(outcome, n, pricing))
             agent.observe_transition(
                 Transition(
                     state=state,
                     action=outcome.fog_modules,
-                    reward=record.utility,
+                    reward=reward,
                     next_state=next_state,
                     terminal=terminal,
                 ),
                 rng,
             )
         except ValueError as exc:
-            raise ValueError(f"deployment {len(records)}: {exc}") from None
+            raise ValueError(f"deployment {len(rewards) + 1}: {exc}") from None
+        rewards.append(reward)
 
     simulate_episode(env, agent, rng, deployments, after_deployment=score_and_learn)
-    return _episode_result(records)
+    return strategy_utility(rewards)
 
 
 def train(
@@ -360,10 +328,9 @@ def train(
     for episode in range(episodes):
         env = FogEnvironment(profile, seed=derive_seed(master_seed, "train-episode", episode))
         try:
-            result = run_episode(env, agent, pricing, weights, rng, deployments=deployments)
+            curve.append(run_episode(env, agent, pricing, weights, rng, deployments=deployments))
         except ValueError as exc:
             raise ValueError(f"episode {episode + 1}: {exc}") from None
-        curve.append(result.utility)
     return curve
 
 

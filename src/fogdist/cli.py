@@ -117,7 +117,10 @@ def _parse_grid(flag: str, items, parse) -> list:
 
 
 def _weights(item: str) -> UtilityWeights:
-    qos_text, cost_text = item.split(":")
+    parts = item.split(":")
+    if len(parts) != 2:
+        raise ValueError("expected QOS:COST, two numbers joined by a colon")
+    qos_text, cost_text = parts
     return UtilityWeights(qos_weight=float(qos_text), cost_weight=float(cost_text))
 
 

@@ -6,18 +6,19 @@ one shape, `asdict` of `ExperimentConfig`; the agent's exploration settings
 are the ``epsilon_*`` keys of its "agent" section, like every other agent
 setting.  Evaluation builds one environment per experiment index, seeded
 from the master seed and the index alone, so every approach faces
-bit-identical stress trajectories.  It simulates each strategy x experiment
-once and then scores those outcomes under every (pricing, weights) cell
-asked for: `evaluate` asks for one cell, `sweep` for its whole grid.  That
-is sound because a strategy that does not learn never sees prices or
-weights, so only non-learning strategies are accepted.  Costs are computed
-once per distinct pricing, and each command's utility summaries come from
-one `BoxplotStats.from_rows` call.  Each command
-computes all of its results, makes one `_emit` call, which alone creates
-the output directory, and returns the one result it computed: `cmd_train`
-the learning curve, `cmd_evaluate` the utility summary by approach,
-`cmd_sweep` the mean deployment cost by (ratio, approach) and
-`cmd_latency` the decision-latency summary.  All simulated outputs are
+bit-identical stress trajectories.  `evaluate_strategies` simulates each
+strategy x experiment once and returns the outcomes; each command then
+prices and weighs them under every (pricing, weights) cell it needs:
+`evaluate` one cell, `sweep` its whole grid.  That is sound because a
+strategy that does not learn never sees prices or weights, so only
+non-learning strategies are accepted.  Costs are computed once per price
+ratio, and each command's utility summaries come from one
+`BoxplotStats.from_rows` call.  Each command computes all of its results,
+makes one `_emit` call, which alone creates the output directory, and
+returns the one result it computed: `cmd_train` the learning curve,
+`cmd_evaluate` the utility summary by approach, `cmd_sweep` the mean
+deployment cost by (ratio, approach) and `cmd_latency` the decision-latency
+summary.  All simulated outputs are
 reproducible byte-for-byte for a given config hash and seed; only the
 decision-latency command measures real wall-clock time and is exempt from
 that guarantee.
@@ -39,7 +40,6 @@ from .agent import (
     DEPLOYMENTS_PER_EPISODE,
     AgentConfig,
     DQNAgent,
-    EpisodeResult,
     GreedyNetworkStrategy,
     Provenance,
     StaticStrategy,
@@ -51,7 +51,7 @@ from .agent import (
     train,
 )
 from .env import STATE_FACTORS, FogEnvironment, request_latency_breakdown
-from .model import FOG_PRICE_RATIO_GRID, PricingModel, UtilityWeights
+from .model import FOG_PRICE_RATIO_GRID, DeploymentOutcome, PricingModel, UtilityWeights
 from .profiles import (
     FD_TRANSMISSION_CHAIN_S,
     ApplicationProfile,
@@ -67,6 +67,8 @@ RUN_FORMAT_VERSION = 1
 CALIBRATION_REL_TOL = 0.02
 FD_STAGES = tuple(m.name for m in fd_profile().modules)   # the stages fd's calibration checks
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+# Each strategy's deployment outcomes, one list per experiment.
+Outcomes = dict[str, list[list[DeploymentOutcome]]]
 
 
 @dataclass(frozen=True)
@@ -234,60 +236,57 @@ def build_agent(cfg: ExperimentConfig, profile: ApplicationProfile) -> DQNAgent:
 def evaluate_strategies(
     profile: ApplicationProfile,
     strategies: dict[str, object],
-    cells,
     experiments: int,
     master_seed: int,
-    deployments: int = DEPLOYMENTS_PER_EPISODE,
-) -> list[dict[str, list[EpisodeResult]]]:
-    """Run every strategy through the same seeded experiments; score each cell.
+    deployments: int,
+) -> Outcomes:
+    """Run every strategy through the same seeded experiments; returns each
+    strategy's outcomes, one list of deployments per experiment.
 
-    ``cells`` is a sequence of (pricing, weights) pairs; the result holds
-    one {strategy name: per-experiment results} dict per cell, in order.
     Environment seeds depend only on the experiment index and action seeds
-    only on the strategy and index, never on the cell, so each strategy x
-    experiment is simulated once and its outcomes are scored under every
-    cell.  Costs do not depend on the weights, so each trajectory is priced
-    once per distinct pricing and weighed per cell from those costs.  A
-    learning strategy picks actions from its rewards, so its outcomes would
-    depend on the cell: it is rejected.
+    only on the strategy and index, so every strategy faces the same stress
+    trajectories.  Nothing here reads prices or weights: callers price and
+    weigh the outcomes under as many (pricing, weights) cells as they need.
+    A learning strategy picks actions from its rewards, so its outcomes
+    would depend on the cell: it is rejected.
     """
-    cells = list(cells)
-    if not cells:
-        raise ValueError("evaluate_strategies needs at least one (pricing, weights) cell")
     learners = sorted(name for name, s in strategies.items() if isinstance(s, DQNAgent))
     if learners:
         raise ValueError(
-            f"evaluate_strategies scores outcomes shared across cells, so it cannot run "
+            f"evaluate_strategies returns outcomes shared across cells, so it cannot run "
             f"learning strategies {learners}; evaluate their greedy policy instead"
         )
-    results: list[dict[str, list[EpisodeResult]]] = [{} for _ in cells]
+    outcomes: Outcomes = {}
     for name, strategy in strategies.items():
-        trajectories = []
+        outcomes[name] = []
         for index in range(experiments):
             env = FogEnvironment(profile, seed=derive_seed(master_seed, "eval-experiment", index))
             rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
-            trajectories.append(simulate_episode(env, strategy, rng, deployments=deployments))
-        costs_at: dict[PricingModel, list[list[float]]] = {}
-        for per_cell, (pricing, weights) in zip(results, cells):
-            if pricing not in costs_at:
-                costs_at[pricing] = [
-                    [price_deployment(o, profile.n_modules, pricing) for o in outcomes]
-                    for outcomes in trajectories
-                ]
-            per_cell[name] = [
-                score_episode(outcomes, costs, weights)
-                for outcomes, costs in zip(trajectories, costs_at[pricing])
-            ]
-    return results
+            outcomes[name].append(simulate_episode(env, strategy, rng, deployments=deployments))
+    return outcomes
+
+
+def _price_outcomes(outcomes: Outcomes, n_modules: int,
+                    pricing: PricingModel) -> dict[str, list[list[float]]]:
+    """`price_deployment` of every outcome, in the same shape."""
+    return {
+        name: [[price_deployment(o, n_modules, pricing) for o in episode] for episode in episodes]
+        for name, episodes in outcomes.items()
+    }
+
+
+def _episode_utilities(outcomes: Outcomes, costs: dict[str, list[list[float]]],
+                       weights: UtilityWeights) -> dict[str, list[float]]:
+    """Each strategy's per-experiment utilities under ``weights``, from the
+    outcomes and their ``costs``."""
+    return {
+        name: [score_episode(episode, c, weights) for episode, c in zip(episodes, costs[name])]
+        for name, episodes in outcomes.items()
+    }
 
 
 def static_strategies(profile: ApplicationProfile) -> dict[str, StaticStrategy]:
     return {f"s{k}": StaticStrategy(k) for k in range(profile.n_modules + 1)}
-
-
-def mean_deployment_cost(results: list[EpisodeResult]) -> float:
-    costs = [rec.cost for episode in results for rec in episode.records]
-    return float(np.mean(costs))
 
 
 def _first_difference(a, b, where: str) -> str | None:
@@ -321,17 +320,15 @@ def _load_policy(checkpoint: str | Path, profile: ApplicationProfile) -> GreedyN
     return agent.greedy_strategy()
 
 
-def _evaluate_against_static(cfg: ExperimentConfig, checkpoint: str | Path | None,
-                             cells: list) -> list[dict[str, list[EpisodeResult]]]:
-    """`evaluate_strategies` over ``cells`` for every static plan, plus the
+def _evaluate_against_static(cfg: ExperimentConfig, profile: ApplicationProfile,
+                             checkpoint: str | Path | None) -> Outcomes:
+    """`evaluate_strategies` of every static plan of ``profile``, plus the
     checkpoint's greedy policy as "context-aware" when a checkpoint is given."""
-    profile = cfg.resolved_profile()
     strategies: dict[str, object] = dict(static_strategies(profile))
     if checkpoint is not None:
         strategies["context-aware"] = _load_policy(checkpoint, profile)
     return evaluate_strategies(
-        profile, strategies, cells,
-        experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
+        profile, strategies, experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
         deployments=cfg.deployments_per_episode,
     )
 
@@ -370,8 +367,10 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path,
                  out_dir: str | Path) -> dict[str, BoxplotStats]:
     """Compare the trained policy with every static plan on shared experiments;
     returns the utility summary by approach."""
-    [results] = _evaluate_against_static(cfg, checkpoint, [(cfg.pricing, cfg.weights)])
-    utilities = {name: [ep.utility for ep in episodes] for name, episodes in results.items()}
+    profile = cfg.resolved_profile()
+    outcomes = _evaluate_against_static(cfg, profile, checkpoint)
+    costs = _price_outcomes(outcomes, profile.n_modules, cfg.pricing)
+    utilities = _episode_utilities(outcomes, costs, cfg.weights)
     boxplots = dict(zip(utilities, BoxplotStats.from_rows(list(utilities.values()))))
     tables = {
         f"utilities_{name}": (["experiment", "utility"], list(enumerate(u)))
@@ -408,33 +407,27 @@ def cmd_sweep(
         raise ValueError("weight_grid must not be empty")
     _reject_repeats(ratios, "fog price ratio(s)")
     _reject_repeats([(w.qos_weight, w.cost_weight) for w in weight_grid], "weight pair(s)")
-    cells = [
-        (replace(cfg.pricing, fog_price_ratio=ratio), weights)
-        for ratio in ratios for weights in weight_grid
-    ]
-    per_cell = _evaluate_against_static(cfg, checkpoint, cells)
-    labels = [
-        (pricing.fog_price_ratio, weights.qos_weight, weights.cost_weight, name)
-        for (pricing, weights), results in zip(cells, per_cell) for name in results
-    ]
-    summaries = BoxplotStats.from_rows([
-        [ep.utility for ep in episodes] for results in per_cell for episodes in results.values()
-    ])
+    profile = cfg.resolved_profile()
+    outcomes = _evaluate_against_static(cfg, profile, checkpoint)
+    labels, rows, mean_costs = [], [], {}
+    for ratio in ratios:
+        costs = _price_outcomes(outcomes, profile.n_modules,
+                                replace(cfg.pricing, fog_price_ratio=ratio))
+        for name, episodes in costs.items():
+            mean_costs[(ratio, name)] = float(np.mean([c for episode in episodes for c in episode]))
+        for weights in weight_grid:
+            for name, utilities in _episode_utilities(outcomes, costs, weights).items():
+                labels.append((ratio, weights.qos_weight, weights.cost_weight, name))
+                rows.append(utilities)
+    summaries = BoxplotStats.from_rows(rows)
     cell_rows = [[*label, stats.count, *stats.as_row()] for label, stats in zip(labels, summaries)]
-    # Deployment cost does not depend on the weights, so the first cell at
-    # each ratio gives that ratio's costs.
-    mean_costs = {
-        (ratio, name): mean_deployment_cost(episodes)
-        for ratio, results in zip(ratios, per_cell[::len(weight_grid)])
-        for name, episodes in results.items()
-    }
     cells_header = ["fog_price_ratio", "qos_weight", "cost_weight", "approach", "count",
                     *BoxplotStats.COLUMNS]
     cost_rows = [[ratio, name, cost] for (ratio, name), cost in mean_costs.items()]
     _emit(out_dir, "sweep", cfg, {
         "sweep_cells": (cells_header, cell_rows),
         "costs_vs_lambda": (["fog_price_ratio", "approach", "mean_deployment_cost"], cost_rows),
-    }, summary={"cells": len(cells), "ratios": ratios})
+    }, summary={"cells": len(ratios) * len(weight_grid), "ratios": ratios})
     return mean_costs
 
 

@@ -162,16 +162,29 @@ def deployment_cost(
 
 
 def deployment_utility(weights: UtilityWeights, outcome: DeploymentOutcome, cost: float) -> float:
-    """Utility of one deployment: qos_weight*(duration/requests) + cost_weight*cost."""
-    if not math.isfinite(cost):
-        raise ValueError(f"cost must be finite, got {cost!r}")
+    """Utility of one deployment: qos_weight*(duration/requests) + cost_weight*cost.
+
+    A ValueError if it is not finite: a cost that is not, or weights too
+    large for float64 to hold the products.
+    """
     per_request_s = outcome.duration_s / outcome.requests
-    return weights.qos_weight * per_request_s + weights.cost_weight * cost
+    utility = weights.qos_weight * per_request_s + weights.cost_weight * cost
+    if not math.isfinite(utility):
+        raise ValueError(
+            f"deployment utility is {utility!r} at weights ({weights.qos_weight!r}, "
+            f"{weights.cost_weight!r}), {per_request_s!r} s per request and cost {cost!r}"
+        )
+    return utility
 
 
 def strategy_utility(deployment_utilities) -> float:
-    """Total utility of a strategy: exactly rounded sum over its deployments."""
+    """Total utility of a strategy: exactly rounded sum over its deployments;
+    a ValueError if that sum lies beyond float64's range."""
     values = list(deployment_utilities)
     if not values:
         raise ValueError("strategy_utility needs at least one deployment utility")
-    return math.fsum(values)
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValueError(f"the utility of {len(values)} deployments, "
+                         f"from {min(values)!r} to {max(values)!r}, overflows float64") from None

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fogdist.agent import DQNAgent, train
+from fogdist.agent import DQNAgent, price_deployment, score_episode, train
 from fogdist.env import request_latency_breakdown
 from fogdist.harness import (
     FD_TRANSMISSION_CHAIN_S,
@@ -22,7 +22,6 @@ from fogdist.harness import (
     config_from_dict,
     evaluate_strategies,
     measure_decision_latency,
-    mean_deployment_cost,
     static_strategies,
 )
 from fogdist.model import (
@@ -176,14 +175,20 @@ def test_06_trained_policy_matches_best_static(fd_default_agent):
     profile = fd_profile()
     strategies = dict(static_strategies(profile))
     strategies["context-aware"] = fd_default_agent.greedy_strategy()
-    [results] = evaluate_strategies(
-        profile, strategies, [(cfg.pricing, cfg.weights)],
-        experiments=100, master_seed=MASTER_SEED,
+    outcomes = evaluate_strategies(
+        profile, strategies, experiments=100, master_seed=MASTER_SEED,
+        deployments=cfg.deployments_per_episode,
     )
-    medians = {name: float(np.median([e.utility for e in eps]))
-               for name, eps in results.items()}
+    utilities = {
+        name: [score_episode(episode,
+                             [price_deployment(o, profile.n_modules, cfg.pricing) for o in episode],
+                             cfg.weights)
+               for episode in episodes]
+        for name, episodes in outcomes.items()
+    }
+    medians = {name: float(np.median(u)) for name, u in utilities.items()}
     best_static = max((n for n in medians if n != "context-aware"), key=medians.get)
-    best_samples = [e.utility for e in results[best_static]]
+    best_samples = utilities[best_static]
     iqr = float(np.percentile(best_samples, 75) - np.percentile(best_samples, 25))
     threshold = medians[best_static] - 0.05 * iqr
     ok = medians["context-aware"] >= threshold
@@ -195,12 +200,11 @@ def test_06_trained_policy_matches_best_static(fd_default_agent):
 def test_07_price_parity_sends_everything_to_the_cloud(heavy_cost_only_agent):
     agent, cfg = heavy_cost_only_agent
     profile = heavy_profile()
-    [results] = evaluate_strategies(
-        profile, {"context-aware": agent.greedy_strategy()}, [(cfg.pricing, cfg.weights)],
-        experiments=100, master_seed=MASTER_SEED,
+    outcomes = evaluate_strategies(
+        profile, {"context-aware": agent.greedy_strategy()},
+        experiments=100, master_seed=MASTER_SEED, deployments=cfg.deployments_per_episode,
     )
-    picks = [rec.outcome.fog_modules
-             for episode in results["context-aware"] for rec in episode.records]
+    picks = [o.fog_modules for episode in outcomes["context-aware"] for o in episode]
     share = picks.count(0) / len(picks)
     ok = len(picks) == 2000 and share >= 0.95
     report(7, "cost-only policy picks the cloud plan when fog is never cheaper",
@@ -211,16 +215,18 @@ def test_08_fog_cost_rises_with_the_price_ratio():
     profile = fd_profile()
     cfg = config_from_dict({"master_seed": MASTER_SEED})
     fog_only = f"s{profile.n_modules}"
-    cells = [(dataclasses.replace(cfg.pricing, fog_price_ratio=ratio), cfg.weights)
-             for ratio in FOG_PRICE_RATIO_GRID]
-    per_cell = evaluate_strategies(
-        profile, static_strategies(profile), cells,
-        experiments=20, master_seed=MASTER_SEED,
+    outcomes = evaluate_strategies(
+        profile, static_strategies(profile), experiments=20, master_seed=MASTER_SEED,
+        deployments=cfg.deployments_per_episode,
     )
-    means = {
-        ratio: {name: mean_deployment_cost(eps) for name, eps in results.items()}
-        for ratio, results in zip(FOG_PRICE_RATIO_GRID, per_cell)
-    }
+    means = {}
+    for ratio in FOG_PRICE_RATIO_GRID:
+        pricing = dataclasses.replace(cfg.pricing, fog_price_ratio=ratio)
+        means[ratio] = {
+            name: float(np.mean([price_deployment(o, profile.n_modules, pricing)
+                                 for episode in episodes for o in episode]))
+            for name, episodes in outcomes.items()
+        }
     fog_costs = [means[r][fog_only] for r in FOG_PRICE_RATIO_GRID]
     increasing = all(a < b for a, b in zip(fog_costs, fog_costs[1:]))
     cheapest_ratio = FOG_PRICE_RATIO_GRID[0]

@@ -29,7 +29,7 @@ from fogdist.agent import (
     train,
 )
 from fogdist.env import FogEnvironment
-from fogdist.model import PricingModel, UtilityWeights
+from fogdist.model import PricingModel, UtilityWeights, deployment_utility
 from fogdist.nn import QNetwork
 from fogdist.profiles import fd_profile, heavy_profile
 
@@ -254,19 +254,22 @@ def test_replay_is_deterministic_for_a_seed():
 # -- episodes -----------------------------------------------------------------
 
 def scored_episode(env, strategy, pricing, weights, rng, deployments=20):
-    """A strategy that does not learn, simulated and then scored under one cell."""
+    """A strategy that does not learn, simulated and then scored under one
+    cell; returns (outcomes, costs, utility)."""
     outcomes = simulate_episode(env, strategy, rng, deployments)
     costs = [price_deployment(o, env.profile.n_modules, pricing) for o in outcomes]
-    return score_episode(outcomes, costs, weights)
+    return outcomes, costs, score_episode(outcomes, costs, weights)
 
 
 def test_scored_static_episode_shape_and_utility_sum():
     env = FogEnvironment(fd_profile(), seed=11)
-    result = scored_episode(env, StaticStrategy(3), PRICING, HYBRID, random.Random(0))
-    assert len(result.records) == 20
-    assert result.utility == math.fsum(r.utility for r in result.records)
-    assert all(r.utility < 0 for r in result.records)
-    assert all(r.outcome.fog_modules == 3 for r in result.records)
+    outcomes, costs, utility = scored_episode(env, StaticStrategy(3), PRICING, HYBRID,
+                                              random.Random(0))
+    assert len(outcomes) == len(costs) == 20
+    utilities = [deployment_utility(HYBRID, o, c) for o, c in zip(outcomes, costs)]
+    assert utility == math.fsum(utilities)
+    assert all(u < 0 for u in utilities)
+    assert all(o.fog_modules == 3 for o in outcomes)
 
 
 def test_scored_static_episode_is_deterministic():
@@ -274,9 +277,7 @@ def test_scored_static_episode_is_deterministic():
         env = FogEnvironment(fd_profile(), seed=21)
         return scored_episode(env, StaticStrategy(1), PRICING, HYBRID, random.Random(4))
 
-    a, b = once(), once()
-    assert a.utility == b.utility
-    assert [r.cost for r in a.records] == [r.cost for r in b.records]
+    assert once() == once()
 
 
 def test_run_episode_marks_only_last_transition_terminal():
@@ -338,8 +339,8 @@ def test_cost_only_training_learns_the_cheaper_tier():
     picks = []
     for i in range(10):
         env = FogEnvironment(profile, seed=1000 + i)
-        result = scored_episode(env, greedy, pricing, COST_ONLY, rng)
-        picks.extend(r.outcome.fog_modules for r in result.records)
+        outcomes, _, _ = scored_episode(env, greedy, pricing, COST_ONLY, rng)
+        picks.extend(o.fog_modules for o in outcomes)
     assert picks.count(0) / len(picks) >= 0.95
 
 

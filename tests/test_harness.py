@@ -23,8 +23,8 @@ from fogdist.agent import (
     StaticStrategy,
     layer_sizes,
     load_checkpoint,
+    price_deployment,
     save_checkpoint,
-    score_deployment,
     simulate_episode,
     train,
 )
@@ -46,7 +46,7 @@ from fogdist.harness import (
     measure_decision_latency,
     static_strategies,
 )
-from fogdist.model import PricingModel, ResourceUsage, UtilityWeights
+from fogdist.model import PricingModel, ResourceUsage, UtilityWeights, deployment_utility
 from fogdist.nn import QNetwork
 from fogdist.profiles import fd_profile, heavy_profile, ipokemon_profile
 from fogdist.seeding import derive_seed
@@ -294,16 +294,11 @@ def test_boxplot_validation():
 
 def test_same_plan_sees_identical_experiments_regardless_of_mix():
     profile = fd_profile()
-    cfg = small_config()
-    [alone] = evaluate_strategies(
-        profile, {"s0": StaticStrategy(0)}, [(cfg.pricing, cfg.weights)],
-        experiments=3, master_seed=5,
-    )
-    [mixed] = evaluate_strategies(
-        profile, {"s2": StaticStrategy(2), "s0": StaticStrategy(0)},
-        [(cfg.pricing, cfg.weights)], experiments=3, master_seed=5,
-    )
-    assert [e.utility for e in alone["s0"]] == [e.utility for e in mixed["s0"]]
+    alone = evaluate_strategies(profile, {"s0": StaticStrategy(0)},
+                                experiments=3, master_seed=5, deployments=20)
+    mixed = evaluate_strategies(profile, {"s2": StaticStrategy(2), "s0": StaticStrategy(0)},
+                                experiments=3, master_seed=5, deployments=20)
+    assert alone["s0"] == mixed["s0"]
 
 
 def _non_learning_strategies(profile):
@@ -312,56 +307,42 @@ def _non_learning_strategies(profile):
 
 
 @settings(max_examples=15, deadline=None)
-@given(
-    ratio=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
-    qos_weight=st.floats(min_value=-5.0, max_value=0.0),
-    cost_weight=st.floats(min_value=-5.0, max_value=0.0),
-    master_seed=st.integers(min_value=0, max_value=2**32),
-)
-def test_outcomes_do_not_depend_on_the_cell_and_shared_scoring_is_exact(
-    ratio, qos_weight, cost_weight, master_seed,
-):
-    """The last two cells share one pricing, so their costs are computed once
-    and weighed twice; every record still equals its own `score_deployment`."""
-    assume(qos_weight != 0 or cost_weight != 0)
+@given(master_seed=st.integers(min_value=0, max_value=2**32))
+def test_each_outcome_equals_its_own_simulation(master_seed):
+    """Simulating every strategy together gives each strategy x experiment
+    the outcomes a simulation of it alone gives."""
     profile = fd_profile()
-    pricing = PricingModel(fog_price_ratio=ratio)
-    cells = [(PricingModel(), UtilityWeights()),
-             (pricing, UtilityWeights(qos_weight, cost_weight)),
-             (pricing, UtilityWeights(qos_weight - 1.0, cost_weight))]
     strategies = _non_learning_strategies(profile)
     experiments, deployments = 2, 6
-    shared = evaluate_strategies(
-        profile, strategies, cells, experiments=experiments,
-        master_seed=master_seed, deployments=deployments,
-    )
-
-    def separate_run(name, index, pricing, weights):
-        env = FogEnvironment(profile, seed=derive_seed(master_seed, "eval-experiment", index))
-        rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
-        outcomes = simulate_episode(env, strategies[name], rng, deployments=deployments)
-        return [score_deployment(o, profile.n_modules, pricing, weights) for o in outcomes]
-
-    for name in strategies:
+    shared = evaluate_strategies(profile, strategies, experiments=experiments,
+                                 master_seed=master_seed, deployments=deployments)
+    assert list(shared) == list(strategies)
+    for name, strategy in strategies.items():
+        alone = []
         for index in range(experiments):
-            separate = [separate_run(name, index, *cell) for cell in cells]
-            for alone, per_cell in zip(separate, shared):
-                assert [r.outcome for r in alone] == [r.outcome for r in separate[0]]
-                scored = per_cell[name][index]
-                assert list(scored.records) == alone
-                assert scored.utility == math.fsum(r.utility for r in alone)
+            env = FogEnvironment(profile, seed=derive_seed(master_seed, "eval-experiment", index))
+            rng = random.Random(derive_seed(master_seed, "eval-actions", name, index))
+            alone.append(simulate_episode(env, strategy, rng, deployments=deployments))
+        assert shared[name] == alone
 
 
-def test_evaluate_strategies_rejects_learners_and_an_empty_grid():
+def test_evaluate_strategies_rejects_learners():
     profile = fd_profile()
-    cells = [(PricingModel(), UtilityWeights())]
     learner = DQNAgent(n_actions=profile.n_modules + 1)
     with pytest.raises(ValueError, match=r"learning strategies \['context-aware'\]"):
         evaluate_strategies(profile, {"s0": StaticStrategy(0), "context-aware": learner},
-                            cells, experiments=1, master_seed=0)
-    with pytest.raises(ValueError, match="at least one"):
-        evaluate_strategies(profile, static_strategies(profile), [], experiments=1,
-                            master_seed=0)
+                            experiments=1, master_seed=0, deployments=1)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"ratio_grid": []}, "ratio_grid must not be empty"),
+    ({"weight_grid": []}, "weight_grid must not be empty"),
+], ids=["ratios", "weights"])
+def test_cmd_sweep_refuses_an_empty_grid_before_writing(tmp_path, grid, message):
+    out_dir = tmp_path / "sweep"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cmd_sweep(small_config(eval_experiments=1), out_dir, **grid)
+    assert not out_dir.exists()
 
 
 def test_static_strategies_cover_every_plan():
@@ -509,6 +490,8 @@ def test_cmd_sweep_grid_and_cost_scaling(tmp_path):
 
 
 def test_sweep_cells_match_one_cell_evaluations(tmp_path):
+    """Each row equals the summary of its cell's utilities, each simulated,
+    priced and weighed on its own."""
     cfg = small_config(eval_experiments=3)
     ratios = (0.001, 0.1, 1.0)
     weight_grid = [UtilityWeights(-1.0, -1.0), UtilityWeights(0.0, -1.0)]
@@ -521,12 +504,18 @@ def test_sweep_cells_match_one_cell_evaluations(tmp_path):
     for ratio in ratios:
         for weights in weight_grid:
             pricing = dataclasses.replace(cfg.pricing, fog_price_ratio=ratio)
-            [results] = evaluate_strategies(
-                profile, static_strategies(profile), [(pricing, weights)],
-                experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
-            )
-            for name, episodes in results.items():
-                stats = BoxplotStats.from_samples([ep.utility for ep in episodes])
+            for name, strategy in static_strategies(profile).items():
+                utilities = []
+                for index in range(cfg.eval_experiments):
+                    env = FogEnvironment(
+                        profile, seed=derive_seed(cfg.master_seed, "eval-experiment", index))
+                    rng = random.Random(derive_seed(cfg.master_seed, "eval-actions", name, index))
+                    outcomes = simulate_episode(env, strategy, rng, cfg.deployments_per_episode)
+                    utilities.append(math.fsum(
+                        deployment_utility(weights, o,
+                                           price_deployment(o, profile.n_modules, pricing))
+                        for o in outcomes))
+                stats = BoxplotStats.from_samples(utilities)
                 row = [ratio, weights.qos_weight, weights.cost_weight, name, stats.count,
                        *stats.as_row()]
                 lines.append(",".join(str(v) for v in row))
@@ -796,6 +785,28 @@ def test_cli_sweep_names_the_flag_of_an_empty_ratio_list(tmp_path, cli_config, c
                  "--ratios", ","])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: --ratios: must list at least one value\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "--weights=-1e307:-1"],
+     r"the utility of 20 deployments, from -\S+ to -\S+, overflows float64"),
+    (["sweep", "--weights=-1e308:-1e308"],
+     r"deployment utility is -inf at weights \(-1e\+308, -1e\+308\), .* s per request "
+     r"and cost .*"),
+    (["train", "--alpha=-1e308"],
+     r"episode 1: deployment \d+: deployment utility is -inf at weights \(-1e\+308, -1\.0\), .*"),
+    (["sweep", "--weights=-1"], r"--weights '-1': expected QOS:COST, two numbers joined by a colon"),
+    (["sweep", "--weights=-1:0:0"],
+     r"--weights '-1:0:0': expected QOS:COST, two numbers joined by a colon"),
+], ids=["sweep-sum-overflow", "sweep-product-overflow", "train-product-overflow",
+        "one-weight", "three-weights"])
+def test_cli_refuses_weights_it_cannot_use(tmp_path, cli_config, capsys, argv, error):
+    """Weights that are not a pair, or whose utilities overflow float64: one
+    error line, exit 1 and no out dir."""
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--config", str(cli_config), "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    assert re.fullmatch(f"error: {error}\n", capsys.readouterr().err)
     assert not out_dir.exists()
 
 

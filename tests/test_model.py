@@ -159,6 +159,26 @@ def test_strategy_utility_rejects_empty():
         strategy_utility([])
 
 
+@pytest.mark.parametrize("weights, cost", [
+    (UtilityWeights(-1.0, -1.0), float("inf")),
+    (UtilityWeights(-1.0, 0.0), float("inf")),
+    (UtilityWeights(-1.0, -1.0), float("nan")),
+    (UtilityWeights(-1e308, -1.0), 0.0),
+    (UtilityWeights(-1.0, -1e308), 1e10),
+], ids=["inf-cost", "inf-cost-unweighted", "nan-cost", "qos-overflow", "cost-overflow"])
+def test_deployment_utility_refuses_a_result_that_is_not_finite(weights, cost):
+    outcome = DeploymentOutcome(fog_modules=1, duration_s=100.0, requests=20,
+                                usage=ResourceUsage())
+    with pytest.raises(ValueError, match=r"^deployment utility is (-inf|nan) at weights "):
+        deployment_utility(weights, outcome, cost)
+
+
+def test_strategy_utility_refuses_a_sum_beyond_the_float_range():
+    with pytest.raises(ValueError, match=r"^the utility of 3 deployments, from -1e\+308 to "
+                                         r"-1e\+308, overflows float64$"):
+        strategy_utility([-1e308] * 3)
+
+
 def test_pricing_validation():
     with pytest.raises(ValueError):
         PricingModel(vm_hourly=-0.01)
