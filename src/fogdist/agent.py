@@ -95,6 +95,11 @@ class AgentConfig:
         for name in ("batch_size", "replay_capacity", "hidden_layers", "hidden_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.replay_capacity <= self.batch_size:
+            # replay waits for more than batch_size remembered transitions
+            raise ValueError(
+                f"need replay_capacity > batch_size, got {self.replay_capacity} <= {self.batch_size}"
+            )
         if not 0 <= self.epsilon_floor <= self.epsilon_start <= 1:
             raise ValueError("need 0 <= epsilon_floor <= epsilon_start <= 1")
         if not 0 < self.epsilon_decay < 1:

@@ -6,13 +6,13 @@ one shape, `asdict` of `ExperimentConfig`; the agent's exploration settings
 are the ``epsilon_*`` keys of its "agent" section, like every other agent
 setting.  Evaluation builds one environment per experiment index, seeded
 from the master seed and the index alone, so every approach faces
-bit-identical stress trajectories.  `evaluate_strategies` simulates each
-strategy x experiment once and returns the outcomes; each command then
-prices and weighs them under every (pricing, weights) cell it needs:
-`evaluate` one cell, `sweep` its whole grid.  That is sound because a
-strategy that does not learn never sees prices or weights, so only
-non-learning strategies are accepted.  Costs are computed once per price
-ratio, and each command's utility summaries come from one
+bit-identical stress trajectories.  `evaluate` is the one-cell `sweep`:
+both score through `_score_grid`, which simulates each strategy x
+experiment once with `evaluate_strategies`, prices the outcomes once per
+price ratio and weighs them under every weight pair of the grid, the
+config's one cell for `evaluate`.  That is sound because a strategy that
+does not learn never sees prices or weights, so only non-learning
+strategies are accepted.  Each command's utility summaries come from one
 `BoxplotStats.from_rows` call.  Each command computes all of its results,
 makes one `_emit` call, which alone creates the output directory, and
 returns the one result it computed: `cmd_train` the learning curve,
@@ -117,6 +117,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(read_json_file(Path(path), "config"))
 
 
+def _row_means(arr: np.ndarray) -> np.ndarray:
+    """numpy's mean of each row of a 2-d array of finite floats.  numpy sums
+    the row, which can overflow: a row holding a sample beyond max / n is
+    worked times 2**-s <= 1/n and scaled back, exactly on normal floats, and
+    every other row at scale 1, so it keeps numpy's bits."""
+    n = arr.shape[1]
+    shrink = np.abs(arr).max(axis=1) > _FLOAT_MAX / n
+    scale = np.where(shrink, 2.0 ** -(n - 1).bit_length(), 1.0)
+    return (arr * scale[:, None]).mean(axis=1) / scale
+
+
 @dataclass(frozen=True)
 class BoxplotStats:
     """Five-number summary plus the mean, quartiles by linear interpolation."""
@@ -147,26 +158,19 @@ class BoxplotStats:
         arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] == 0:
             raise ValueError("need equal-length rows of at least one sample")
-        n = arr.shape[1]
         lows, highs = arr.min(axis=1), arr.max(axis=1)
-        # numpy's quartiles subtract neighbouring samples and its mean sums
-        # them all, and either can overflow on finite samples.  The quartiles
-        # of a row whose span would overflow are taken on the halved row and
-        # doubled back; the mean of a row whose sum could (a sample beyond
-        # max / n) is taken on the row times 2**-s <= 1/n and scaled back.
-        # Power-of-two scaling is exact on normal floats, and every other row
-        # is worked at scale 1, so it keeps numpy's bits.
+        # numpy's quartiles subtract neighbouring samples, and can overflow
+        # on finite samples: those of a row whose span would are taken on the
+        # halved row and doubled back, exactly; every other row keeps numpy's
+        # bits.  The means are `_row_means`.
         halve = highs * 0.5 - lows * 0.5 > _FLOAT_MAX * 0.5
         q_scale = np.where(halve, 0.5, 1.0)[:, None]
         quartiles = (np.percentile(arr * q_scale, [25.0, 50.0, 75.0], axis=1).T / q_scale).tolist()
-        shrink = np.maximum(highs, -lows) > _FLOAT_MAX / n
-        m_scale = np.where(shrink, 2.0 ** -(n - 1).bit_length(), 1.0)
-        means = ((arr * m_scale[:, None]).mean(axis=1) / m_scale).tolist()
-        per_row = zip(lows.tolist(), quartiles, means, highs.tolist())
+        per_row = zip(lows.tolist(), quartiles, _row_means(arr).tolist(), highs.tolist())
         # The exact mean lies in [min, max]; the rounded one can miss by an ulp.
         return [
             cls(minimum=minimum, q1=q1, median=median, mean=min(max(mean, minimum), maximum),
-                q3=q3, maximum=maximum, count=n)
+                q3=q3, maximum=maximum, count=arr.shape[1])
             for minimum, (q1, median, q3), mean, maximum in per_row
         ]
 
@@ -266,25 +270,6 @@ def evaluate_strategies(
     return outcomes
 
 
-def _price_outcomes(outcomes: Outcomes, n_modules: int,
-                    pricing: PricingModel) -> dict[str, list[list[float]]]:
-    """`price_deployment` of every outcome, in the same shape."""
-    return {
-        name: [[price_deployment(o, n_modules, pricing) for o in episode] for episode in episodes]
-        for name, episodes in outcomes.items()
-    }
-
-
-def _episode_utilities(outcomes: Outcomes, costs: dict[str, list[list[float]]],
-                       weights: UtilityWeights) -> dict[str, list[float]]:
-    """Each strategy's per-experiment utilities under ``weights``, from the
-    outcomes and their ``costs``."""
-    return {
-        name: [score_episode(episode, c, weights) for episode, c in zip(episodes, costs[name])]
-        for name, episodes in outcomes.items()
-    }
-
-
 def static_strategies(profile: ApplicationProfile) -> dict[str, StaticStrategy]:
     return {f"s{k}": StaticStrategy(k) for k in range(profile.n_modules + 1)}
 
@@ -320,17 +305,39 @@ def _load_policy(checkpoint: str | Path, profile: ApplicationProfile) -> GreedyN
     return agent.greedy_strategy()
 
 
-def _evaluate_against_static(cfg: ExperimentConfig, profile: ApplicationProfile,
-                             checkpoint: str | Path | None) -> Outcomes:
-    """`evaluate_strategies` of every static plan of ``profile``, plus the
-    checkpoint's greedy policy as "context-aware" when a checkpoint is given."""
+def _score_grid(
+    cfg: ExperimentConfig, checkpoint: str | Path | None, ratios: list[float],
+    weight_grid: list[UtilityWeights],
+) -> tuple[list[tuple], list[list[float]], dict[tuple[float, str], float]]:
+    """Simulate every static plan, plus the checkpoint's greedy policy as
+    "context-aware" when one is given, once; price the outcomes once per
+    ratio and weigh them under each weight pair.  Returns one ``(ratio,
+    qos_weight, cost_weight, approach)`` label and one row of per-experiment
+    utilities per cell and approach, in that order, and the mean deployment
+    cost by (ratio, approach)."""
+    profile = cfg.resolved_profile()
     strategies: dict[str, object] = dict(static_strategies(profile))
     if checkpoint is not None:
         strategies["context-aware"] = _load_policy(checkpoint, profile)
-    return evaluate_strategies(
+    outcomes = evaluate_strategies(
         profile, strategies, experiments=cfg.eval_experiments, master_seed=cfg.master_seed,
         deployments=cfg.deployments_per_episode,
     )
+    labels, rows, mean_costs = [], [], {}
+    for ratio in ratios:
+        pricing = replace(cfg.pricing, fog_price_ratio=ratio)
+        costs = {
+            name: [[price_deployment(o, profile.n_modules, pricing) for o in episode]
+                   for episode in episodes]
+            for name, episodes in outcomes.items()
+        }
+        means = _row_means(np.array(list(costs.values())).reshape(len(costs), -1)).tolist()
+        mean_costs.update(((ratio, name), mean) for name, mean in zip(costs, means))
+        for weights in weight_grid:
+            for name, episodes in outcomes.items():
+                labels.append((ratio, weights.qos_weight, weights.cost_weight, name))
+                rows.append([score_episode(e, c, weights) for e, c in zip(episodes, costs[name])])
+    return labels, rows, mean_costs
 
 
 def _reject_repeats(values: list, what: str) -> None:
@@ -365,16 +372,16 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path) -> list[float]:
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str | Path,
                  out_dir: str | Path) -> dict[str, BoxplotStats]:
-    """Compare the trained policy with every static plan on shared experiments;
-    returns the utility summary by approach."""
-    profile = cfg.resolved_profile()
-    outcomes = _evaluate_against_static(cfg, profile, checkpoint)
-    costs = _price_outcomes(outcomes, profile.n_modules, cfg.pricing)
-    utilities = _episode_utilities(outcomes, costs, cfg.weights)
-    boxplots = dict(zip(utilities, BoxplotStats.from_rows(list(utilities.values()))))
+    """Compare the trained policy with every static plan on shared experiments
+    at the config's (price ratio, weights) cell: the one-cell `cmd_sweep`,
+    scored by the same `_score_grid`.  Returns the utility summary by approach."""
+    labels, rows, _mean_costs = _score_grid(
+        cfg, checkpoint, [cfg.pricing.fog_price_ratio], [cfg.weights])
+    names = [label[-1] for label in labels]
+    boxplots = dict(zip(names, BoxplotStats.from_rows(rows)))
     tables = {
         f"utilities_{name}": (["experiment", "utility"], list(enumerate(u)))
-        for name, u in utilities.items()
+        for name, u in zip(names, rows)
     }
     tables["boxplots"] = (
         ["approach", "count", *BoxplotStats.COLUMNS],
@@ -397,7 +404,9 @@ def cmd_sweep(
     """Cross a fog-price grid with a weight grid; summarise utilities and costs.
 
     Static plans are always included; the trained policy joins the grid when
-    a checkpoint is given.  Returns the mean deployment cost by (ratio, approach).
+    a checkpoint is given.  Every cell is scored by `_score_grid`, as
+    `cmd_evaluate`'s one cell is.  Returns the mean deployment cost by
+    (ratio, approach).
     """
     ratios = list(ratio_grid)
     weight_grid = [cfg.weights] if weight_grid is None else list(weight_grid)
@@ -407,18 +416,7 @@ def cmd_sweep(
         raise ValueError("weight_grid must not be empty")
     _reject_repeats(ratios, "fog price ratio(s)")
     _reject_repeats([(w.qos_weight, w.cost_weight) for w in weight_grid], "weight pair(s)")
-    profile = cfg.resolved_profile()
-    outcomes = _evaluate_against_static(cfg, profile, checkpoint)
-    labels, rows, mean_costs = [], [], {}
-    for ratio in ratios:
-        costs = _price_outcomes(outcomes, profile.n_modules,
-                                replace(cfg.pricing, fog_price_ratio=ratio))
-        for name, episodes in costs.items():
-            mean_costs[(ratio, name)] = float(np.mean([c for episode in episodes for c in episode]))
-        for weights in weight_grid:
-            for name, utilities in _episode_utilities(outcomes, costs, weights).items():
-                labels.append((ratio, weights.qos_weight, weights.cost_weight, name))
-                rows.append(utilities)
+    labels, rows, mean_costs = _score_grid(cfg, checkpoint, ratios, weight_grid)
     summaries = BoxplotStats.from_rows(rows)
     cell_rows = [[*label, stats.count, *stats.as_row()] for label, stats in zip(labels, summaries)]
     cells_header = ["fog_price_ratio", "qos_weight", "cost_weight", "approach", "count",

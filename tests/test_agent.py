@@ -458,6 +458,13 @@ def test_agent_config_validation():
     for key in ("batch_size", "replay_capacity", "hidden_layers", "hidden_width"):
         with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
             AgentConfig(**{key: 0})
+    # replay waits for more than batch_size transitions, so a memory that
+    # cannot hold that many would never train the network
+    for capacity, batch in ((5, 5), (1, 2), (63, 64)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need replay_capacity > batch_size, got {capacity} <= {batch}")):
+            AgentConfig(replay_capacity=capacity, batch_size=batch)
+    assert AgentConfig(replay_capacity=6, batch_size=5).replay_capacity == 6
     with pytest.raises(ValueError):
         DQNAgent(n_actions=0)
 

@@ -135,6 +135,7 @@ def experiment_configs(draw):
     qos, cost = draw(weight), draw(weight)
     assume(qos != 0 or cost != 0)
     floor = draw(st.floats(0.0, 1.0))
+    batch_size = draw(st.integers(1, 64))
     return ExperimentConfig(
         profile=draw(st.sampled_from(["fd", "ipokemon", "heavy"])),
         pricing=PricingModel(draw(price), draw(price), draw(price), draw(price),
@@ -146,9 +147,9 @@ def experiment_configs(draw):
         master_seed=draw(st.integers(0, 2**32)),
         agent=AgentConfig(
             discount=draw(st.floats(0.0, 0.999)),
-            batch_size=draw(st.integers(1, 64)),
+            batch_size=batch_size,
             learning_rate=draw(st.floats(1e-6, 1.0)),
-            replay_capacity=draw(st.integers(1, 10_000)),
+            replay_capacity=draw(st.integers(batch_size + 1, 10_000)),
             hidden_layers=draw(st.integers(1, 4)),
             hidden_width=draw(st.integers(1, 64)),
             epsilon_start=draw(st.floats(floor, 1.0)), epsilon_floor=floor,
@@ -489,6 +490,22 @@ def test_cmd_sweep_grid_and_cost_scaling(tmp_path):
     assert len(costs) == 2 + 12
 
 
+def test_sweep_mean_costs_stay_finite_where_their_sum_would_overflow(tmp_path):
+    """Cloud costs near 2e306 over 160 deployments: numpy's plain mean sums
+    them past the float range (and warns); the written mean is their mean."""
+    cfg = small_config(eval_experiments=8, pricing=PricingModel(vm_hourly=1.7e308))
+    mean_costs = cmd_sweep(cfg, tmp_path, ratio_grid=(0.1,))
+    profile = cfg.resolved_profile()
+    outcomes = evaluate_strategies(profile, static_strategies(profile), cfg.eval_experiments,
+                                   cfg.master_seed, cfg.deployments_per_episode)
+    pricing = dataclasses.replace(cfg.pricing, fog_price_ratio=0.1)
+    costs = {name: [price_deployment(o, profile.n_modules, pricing) for e in episodes for o in e]
+             for name, episodes in outcomes.items()}
+    assert sum(costs["s0"]) == math.inf
+    for name, c in costs.items():
+        assert mean_costs[(0.1, name)] == pytest.approx(math.fsum(x / len(c) for x in c), rel=1e-12)
+
+
 def test_sweep_cells_match_one_cell_evaluations(tmp_path):
     """Each row equals the summary of its cell's utilities, each simulated,
     priced and weighed on its own."""
@@ -521,6 +538,60 @@ def test_sweep_cells_match_one_cell_evaluations(tmp_path):
                 lines.append(",".join(str(v) for v in row))
     expected = "\n".join(lines) + "\n"
     assert (tmp_path / "sweep_cells.csv").read_bytes() == expected.encode()
+
+
+@pytest.fixture(scope="module")
+def off_default_cell(tmp_path_factory):
+    """A config at fog price ratio 0.1 and weights (0, -1), not the default
+    cell, and the checkpoint a short training run on it leaves."""
+    base = small_config(eval_experiments=3)
+    cfg = dataclasses.replace(base, pricing=dataclasses.replace(base.pricing, fog_price_ratio=0.1),
+                              weights=UtilityWeights(0.0, -1.0))
+    train_dir = tmp_path_factory.mktemp("train")
+    cmd_train(cfg, train_dir)
+    return cfg, train_dir / "checkpoint.json"
+
+
+def test_evaluate_off_the_default_cell_matches_each_episode_scored_alone(off_default_cell,
+                                                                         tmp_path):
+    """Every utilities file, the policy's too, equals its approach's episodes
+    simulated, priced and weighed one by one at the config's cell."""
+    cfg, checkpoint = off_default_cell
+    cmd_evaluate(cfg, checkpoint, tmp_path)
+    profile = cfg.resolved_profile()
+    strategies = dict(static_strategies(profile))
+    strategies["context-aware"] = load_checkpoint(checkpoint)[0].greedy_strategy()
+    for name, strategy in strategies.items():
+        lines = [f"# config_hash={config_hash(cfg)} master_seed={cfg.master_seed}",
+                 "experiment,utility"]
+        for index in range(cfg.eval_experiments):
+            env = FogEnvironment(profile, seed=derive_seed(cfg.master_seed, "eval-experiment", index))
+            rng = random.Random(derive_seed(cfg.master_seed, "eval-actions", name, index))
+            outcomes = simulate_episode(env, strategy, rng, cfg.deployments_per_episode)
+            utility = math.fsum(
+                deployment_utility(cfg.weights, o, price_deployment(o, profile.n_modules, cfg.pricing))
+                for o in outcomes)
+            lines.append(f"{index},{utility}")
+        expected = "\n".join(lines) + "\n"
+        assert (tmp_path / f"utilities_{name}.csv").read_bytes() == expected.encode(), name
+
+
+def test_evaluate_is_the_one_cell_sweep(off_default_cell, tmp_path):
+    """Each boxplots.csv row equals the sweep_cells.csv row of the same
+    approach in a sweep over the config's one cell."""
+    cfg, checkpoint = off_default_cell
+    cmd_evaluate(cfg, checkpoint, tmp_path / "eval")
+    cmd_sweep(cfg, tmp_path / "sweep", ratio_grid=(cfg.pricing.fog_price_ratio,),
+              weight_grid=[cfg.weights], checkpoint=checkpoint)
+    hash_line, header, *box_rows = (tmp_path / "eval" / "boxplots.csv").read_text().splitlines()
+    sweep_hash_line, sweep_header, *cell_rows = (
+        (tmp_path / "sweep" / "sweep_cells.csv").read_text().splitlines())
+    assert sweep_hash_line == hash_line
+    assert sweep_header == "fog_price_ratio,qos_weight,cost_weight," + header
+    cell = f"{cfg.pricing.fog_price_ratio},{cfg.weights.qos_weight},{cfg.weights.cost_weight},"
+    assert all(row.startswith(cell) for row in cell_rows)
+    assert sorted(row[len(cell):] for row in cell_rows) == box_rows
+    assert [row.split(",")[0] for row in box_rows] == ["context-aware", "s0", "s1", "s2", "s3"]
 
 
 @pytest.mark.parametrize("lookalike, difference", [
